@@ -4,7 +4,9 @@ Answers are written one per line and flushed immediately, so piping
 into ``head`` or using ``--limit`` stops the enumeration early instead
 of waiting for it to finish. Exit codes: 0 on success, 1 on input
 errors, 2 on guard violations (disconnected input without
-``--per-component``, or an oversized crossing graph).
+``--per-component``, an oversized crossing graph, or a bad crossing-graph
+cap), 130 when interrupted (Ctrl-C), and 141 when the reader of stdout
+goes away (e.g. ``| head``). None of them prints a traceback.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from .triangulate import EXTENDERS, enum_min_triangulations
 COMMANDS = ("minseps", "triangulations", "treedecomps", "crossgraph", "stats")
 DEFAULT_CROSSGRAPH_LIMIT = 500
 CROSSGRAPH_LIMIT_ENV = "TRIENUM_CROSSGRAPH_LIMIT"
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as the shell reports Ctrl-C
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as for a writer killed by SIGPIPE
 
 
 class GuardViolation(RuntimeError):
@@ -85,12 +89,16 @@ def _read_input(path: str) -> str:
 
 
 def _crossgraph_limit(args: argparse.Namespace) -> int:
+    """The crossgraph node cap: the flag, else the environment, else the
+    default. Raises GuardViolation unless it is a nonnegative integer."""
     if args.max_crossgraph_nodes is not None:
-        return args.max_crossgraph_nodes
-    env = os.environ.get(CROSSGRAPH_LIMIT_ENV)
-    if env is not None:
-        return int(env)
-    return DEFAULT_CROSSGRAPH_LIMIT
+        source, text = "--max-crossgraph-nodes", str(args.max_crossgraph_nodes)
+    else:
+        source = CROSSGRAPH_LIMIT_ENV
+        text = os.environ.get(source, str(DEFAULT_CROSSGRAPH_LIMIT))
+    if not (text.isascii() and text.isdigit()):
+        raise GuardViolation(f"{source} must be a nonnegative integer, got {text!r}")
+    return int(text)
 
 
 class _Writer:
@@ -213,7 +221,7 @@ def _run_command(
                 if not budget_left():
                     break
         elif args.command == "crossgraph":
-            cap = _crossgraph_limit(args)
+            cap = args.max_crossgraph_nodes
             nodes = []
             for sep in enum_min_seps(sub):
                 nodes.append(sep)
@@ -289,12 +297,34 @@ def _run_command(
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        return _main(argv)
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
+    except BrokenPipeError:
+        # nobody reads stdout any more; send what is still buffered to
+        # the null device so the interpreter's last flush cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+
+
+def _main(argv: list[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.output == "dot" and args.command not in ("treedecomps", "crossgraph"):
         parser.error("dot output is only available for treedecomps and crossgraph")
     if args.limit is not None and args.limit < 1:
         parser.error("--limit must be at least 1")
+    if args.command == "crossgraph" or args.max_crossgraph_nodes is not None:
+        # resolved once, so a bad cap is reported before any output
+        try:
+            args.max_crossgraph_nodes = _crossgraph_limit(args)
+        except GuardViolation as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     try:
         text = _read_input(args.input)
     except OSError as exc:

@@ -116,15 +116,7 @@ class Graph:
         return out
 
     def add_edges(self, pairs: Iterable[tuple[int, int]]) -> Graph:
-        adj = list(self._adj)
-        for u, v in pairs:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise GraphError(f"edge ({u}, {v}) out of range for n={self.n}")
-            if u == v:
-                raise GraphError(f"self-loop at vertex {u}")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return Graph._from_masks(adj)
+        return Graph(self.n, [*self.edges(), *pairs])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -159,22 +151,27 @@ def _check_subset(g: Graph, U: Iterable[int]) -> int:
     return m
 
 
+def _component(adj: Sequence[int], sub: int, seed: int) -> int:
+    """The component of the subgraph induced on ``sub`` that holds the
+    vertices of the mask ``seed``."""
+    comp = frontier = seed
+    while frontier:
+        nxt = 0
+        for v in bits(frontier):
+            nxt |= adj[v]
+        nxt &= sub & ~comp
+        comp |= nxt
+        frontier = nxt
+    return comp
+
+
 def _components_masks(adj: Sequence[int], sub: int) -> list[int]:
     """Connected components of the subgraph induced on ``sub``, as masks,
     ordered by smallest member."""
     comps = []
     remaining = sub
     while remaining:
-        seed = remaining & -remaining
-        comp = seed
-        frontier = seed
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= adj[v]
-            nxt &= sub & ~comp
-            comp |= nxt
-            frontier = nxt
+        comp = _component(adj, sub, remaining & -remaining)
         comps.append(comp)
         remaining &= ~comp
     return comps
@@ -218,22 +215,29 @@ def is_connected(g: Graph) -> bool:
     return len(connected_components(g)) <= 1
 
 
+def _saturate(adj: list[int], smask: int) -> None:
+    """Make the vertices of ``smask`` a clique, in place."""
+    for v in bits(smask):
+        adj[v] |= smask & ~(1 << v)
+
+
 def saturate(g: Graph, U: Iterable[int]) -> Graph:
     """A copy of g in which U is a clique. The input graph is unchanged."""
-    umask = _check_subset(g, U)
     adj = list(g._adj)
-    for v in bits(umask):
-        adj[v] |= umask & ~(1 << v)
+    _saturate(adj, _check_subset(g, U))
     return Graph._from_masks(adj)
 
 
-def _mcs(adj: Sequence[int], n: int) -> tuple[list[int], bool, list[int] | None]:
-    """Maximum-cardinality search.
+def _mcs(adj: Sequence[int], n: int) -> tuple[list[int], set[int]] | None:
+    """Maximum-cardinality search on a graph given by adjacency masks.
 
-    Returns the visit order, whether the reversed order is a perfect
-    elimination ordering (i.e. the graph is chordal), and, when it is,
-    the maximal cliques as masks (a new clique starts whenever the count
-    of already-visited neighbors fails to grow).
+    Returns None when the reversed visit order is not a perfect
+    elimination ordering, i.e. the graph is not chordal. Otherwise
+    returns its maximal cliques and its minimal separators, as masks.
+    A new clique starts at each vertex whose count of already-visited
+    neighbors fails to grow; in a connected chordal graph those
+    already-visited neighbors are exactly the minimal separators
+    (Blair & Peyton 1993), so no clique tree is needed to find them.
     """
     order: list[int] = []
     weights = [0] * n
@@ -270,21 +274,24 @@ def _mcs(adj: Sequence[int], n: int) -> tuple[list[int], bool, list[int] | None]
             if pos[u] > w_pos:
                 w, w_pos = u, pos[u]
         if s & ~adj[w] & ~(1 << w):
-            return order, False, None
+            return None
     cliques: list[int] = []
+    seps: set[int] = set()
     current = 0
     prev = -1
     for v in order:
-        c = earlier[v].bit_count()
+        s = earlier[v]
+        c = s.bit_count()
         if c <= prev:
             cliques.append(current)
-            current = earlier[v] | 1 << v
-        else:
-            current |= 1 << v
+            current = s
+            if s:
+                seps.add(s)
+        current |= 1 << v
         prev = c
     if n:
         cliques.append(current)
-    return order, True, cliques
+    return cliques, seps
 
 
 def is_chordal(g: Graph) -> bool:
@@ -293,16 +300,14 @@ def is_chordal(g: Graph) -> bool:
     The reversed MCS visit order is a perfect elimination ordering
     exactly when the graph is chordal, which this verifies directly.
     """
-    _, chordal, _ = _mcs(g._adj, g.n)
-    return chordal
+    return _mcs(g._adj, g.n) is not None
 
 
 def _max_clique_masks(h: Graph) -> list[int]:
-    _, chordal, cliques = _mcs(h._adj, h.n)
-    if not chordal:
+    parts = _mcs(h._adj, h.n)
+    if parts is None:
         raise NotChordalError("input graph is not chordal")
-    assert cliques is not None
-    return sorted(cliques, key=lambda m: tuple(bits(m)))
+    return sorted(parts[0], key=lambda m: tuple(bits(m)))
 
 
 def max_cliques_chordal(h: Graph) -> list[VertexSet]:
@@ -320,10 +325,24 @@ def clique_tree(h: Graph) -> CliqueTree:
         raise DisconnectedGraphError("clique_tree requires a connected graph")
     masks = _max_clique_masks(h)
     k = len(masks)
-    candidates = sorted(
-        ((i, j) for i in range(k) for j in range(i + 1, k)),
-        key=lambda p: (-(masks[p[0]] & masks[p[1]]).bit_count(), p),
+    weighted = [
+        (i, j, (masks[i] & masks[j]).bit_count())
+        for i in range(k)
+        for j in range(i + 1, k)
+    ]
+    return CliqueTree(
+        bags=tuple(vertex_set(m) for m in masks),
+        edges=tuple(_max_spanning_tree(k, weighted)),
     )
+
+
+def _max_spanning_tree(
+    k: int, edges: Iterable[tuple[int, int, int]]
+) -> list[tuple[int, int, int]]:
+    """Kruskal over nodes 0..k-1: the (i, j, weight) edges of a
+    maximum-weight spanning tree, in the order taken. Edges are tried
+    heaviest first, ties broken by (i, j)."""
+    ordered = sorted(edges, key=lambda e: (-e[2], e[0], e[1]))
     parent = list(range(k))
 
     def find(x: int) -> int:
@@ -332,15 +351,14 @@ def clique_tree(h: Graph) -> CliqueTree:
             x = parent[x]
         return x
 
-    edges = []
-    for i, j in candidates:
+    tree = []
+    for i, j, w in ordered:
         ri, rj = find(i), find(j)
         if ri != rj:
             parent[ri] = rj
-            edges.append((i, j, (masks[i] & masks[j]).bit_count()))
-            if len(edges) == k - 1:
+            tree.append((i, j, w))
+            if len(tree) == k - 1:
                 break
-    return CliqueTree(
-        bags=tuple(vertex_set(m) for m in masks),
-        edges=tuple(edges),
-    )
+    if len(tree) < k - 1:
+        raise DisconnectedGraphError("weighted graph is not connected")
+    return tree

@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterator
 
-from .graph import Graph
+from .graph import Graph, bits
 
 Node = Any
 NodeSet = frozenset
@@ -45,14 +45,12 @@ class ImplicitGraph:
     extend_to_max_ind  grows an independent set into a maximal one; must
                        be deterministic and return a superset
     node_key           injective canonical encoding of a node
-    size_bound         optional bound on independent-set cardinality
     """
 
     node_stream: Callable[[], Iterator[Node]]
     adjacent: Callable[[Node, Node], bool]
     extend_to_max_ind: Callable[[NodeSet], NodeSet]
     node_key: Callable[[Node], Hashable]
-    size_bound: int | None = None
 
 
 @dataclass
@@ -63,13 +61,6 @@ class EnumStats:
     extender_calls: int = 0
     nodes_pulled: int = 0
     delays: list[float] = field(default_factory=list)
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
 
 
 def enum_max_independent(
@@ -116,7 +107,7 @@ def enum_max_independent(
 
     def ensure_adjacency(v: int, need: int) -> None:
         missing = need & ~adj_known[v]
-        for u in _bits(missing):
+        for u in bits(missing):
             if inst.adjacent(nodes[v], nodes[u]):
                 adj_mask[v] |= 1 << u
                 adj_mask[u] |= 1 << v
@@ -128,7 +119,7 @@ def enum_max_independent(
 
     def compute(imask: int) -> int:
         result = inst.extend_to_max_ind(
-            frozenset(nodes[i] for i in _bits(imask))
+            frozenset(nodes[i] for i in bits(imask))
         )
         kmask = 0
         for node in result:
@@ -176,7 +167,7 @@ def enum_max_independent(
         stats.answers_emitted += 1
         if hook is not None:
             hook("emit", stats)
-        yield frozenset(nodes[i] for i in _bits(imask))
+        yield frozenset(nodes[i] for i in bits(imask))
         printed.add(imask)
         printed_list.append(imask)
         for v in pulled:
@@ -227,5 +218,4 @@ def explicit_graph_instance(g: Graph) -> ImplicitGraph:
         adjacent=g.has_edge,
         extend_to_max_ind=extend,
         node_key=lambda v: v,
-        size_bound=g.n,
     )

@@ -15,11 +15,13 @@ from .graph import (
     DisconnectedGraphError,
     Graph,
     GraphError,
+    NotChordalError,
     VertexSet,
+    _component,
     _components_masks,
+    _mcs,
     _neighborhood_mask,
     bits,
-    clique_tree,
     is_connected,
     mask_of,
     vertex_set,
@@ -44,11 +46,7 @@ def is_separator(g: Graph, S: Iterable[int], u: int, v: int) -> bool:
         raise GraphError("u and v must be distinct")
     if smask >> u & 1 or smask >> v & 1:
         raise GraphError("u and v must not belong to S")
-    sub = (1 << g.n) - 1 & ~smask
-    for comp in _components_masks(g._adj, sub):
-        if comp >> u & 1:
-            return not comp >> v & 1
-    raise GraphError(f"vertex {u} out of range for n={g.n}")
+    return not _component(g._adj, (1 << g.n) - 1 & ~smask, 1 << u) >> v & 1
 
 
 def is_minimal_separator(g: Graph, S: Iterable[int]) -> bool:
@@ -137,24 +135,20 @@ def find_min_sep(c: Graph, u: int, v: int) -> Separator:
         raise GraphError("u and v must be distinct")
     if c._adj[u] >> v & 1:
         raise GraphError(f"vertices {u} and {v} are adjacent")
-    s0 = c._adj[u]
-    sub = (1 << c.n) - 1 & ~s0
-    for comp in _components_masks(c._adj, sub):
-        if comp >> v & 1:
-            return vertex_set(_neighborhood_mask(c._adj, comp))
-    raise GraphError("unreachable: v not found in any component")
+    comp = _component(c._adj, (1 << c.n) - 1 & ~c._adj[u], 1 << v)
+    return vertex_set(_neighborhood_mask(c._adj, comp))
 
 
 def extract_min_seps_chordal(h: Graph) -> set[Separator]:
-    """MinSep of a connected chordal graph: the distinct nonempty
-    intersections of adjacent clique-tree bags."""
-    tree = clique_tree(h)
-    out: set[Separator] = set()
-    for i, j, _w in tree.edges:
-        inter = tree.bags[i] & tree.bags[j]
-        if inter:
-            out.add(inter)
-    return out
+    """MinSep of a connected chordal graph, read off a maximum-cardinality
+    search: the already-visited neighbors of each vertex at which a new
+    maximal clique starts (Blair & Peyton 1993)."""
+    if not is_connected(h):
+        raise DisconnectedGraphError("extract_min_seps_chordal requires a connected graph")
+    parts = _mcs(h._adj, h.n)
+    if parts is None:
+        raise NotChordalError("input graph is not chordal")
+    return {vertex_set(m) for m in parts[1]}
 
 
 def clq_min_seps(g: Graph) -> set[Separator]:

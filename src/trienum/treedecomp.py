@@ -20,12 +20,14 @@ from .graph import (
     Graph,
     GraphError,
     VertexSet,
+    _component,
+    _max_spanning_tree,
     is_connected,
+    mask_of,
     max_cliques_chordal,
-    saturate,
 )
 from .maxind import EnumStats, EventHook
-from .triangulate import enum_min_triangulations, is_minimal_triangulation
+from .triangulate import _saturated, enum_min_triangulations, is_minimal_triangulation
 
 
 @dataclass(frozen=True)
@@ -50,36 +52,25 @@ class WeightedCliqueGraph:
     edges: tuple[tuple[int, int, int], ...]
 
 
-def _check_tree(d: TreeDecomposition) -> list[list[int]]:
-    """Validate the tree structure; return the bag-id adjacency lists."""
+def _check_tree(d: TreeDecomposition) -> list[int]:
+    """Validate the tree structure; return the bag-id adjacency masks."""
     k = len(d.bags)
     if k == 0:
         raise GraphError("tree decomposition has no bags")
-    adj: list[list[int]] = [[] for _ in range(k)]
-    seen = set()
+    adj = [0] * k
     for a, b in d.edges:
         if not (0 <= a < k and 0 <= b < k):
             raise GraphError(f"tree edge ({a}, {b}) out of range for {k} bags")
         if a == b:
             raise GraphError(f"tree edge ({a}, {b}) is a self-loop")
-        key = (min(a, b), max(a, b))
-        if key in seen:
+        if adj[a] >> b & 1:
             raise GraphError(f"duplicate tree edge ({a}, {b})")
-        seen.add(key)
-        adj[a].append(b)
-        adj[b].append(a)
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
     if len(d.edges) != k - 1:
         raise GraphError("bag graph is not a tree")
     # k-1 edges without duplicates: connected iff acyclic
-    reached = {0}
-    frontier = deque([0])
-    while frontier:
-        x = frontier.popleft()
-        for y in adj[x]:
-            if y not in reached:
-                reached.add(y)
-                frontier.append(y)
-    if len(reached) != k:
+    if _component(adj, (1 << k) - 1, 1) != (1 << k) - 1:
         raise GraphError("bag graph is not connected")
     return adj
 
@@ -99,18 +90,8 @@ def is_tree_decomposition(g: Graph, d: TreeDecomposition) -> bool:
         if not any(u in b and v in b for b in d.bags):
             return False
     for v in range(g.n):
-        holders = [i for i, b in enumerate(d.bags) if v in b]
-        start = holders[0]
-        member = set(holders)
-        reached = {start}
-        frontier = deque([start])
-        while frontier:
-            x = frontier.popleft()
-            for y in adj[x]:
-                if y in member and y not in reached:
-                    reached.add(y)
-                    frontier.append(y)
-        if len(reached) != len(member):
+        holders = mask_of(i for i, b in enumerate(d.bags) if v in b)
+        if _component(adj, holders, holders & -holders) != holders:
             return False
     return True
 
@@ -119,10 +100,7 @@ def saturate_td(g: Graph, d: TreeDecomposition) -> Graph:
     """Saturate every bag of d in g; the result is a triangulation of g."""
     if not is_tree_decomposition(g, d):
         raise GraphError("not a tree decomposition of the given graph")
-    h = g
-    for b in d.bags:
-        h = saturate(h, b)
-    return h
+    return Graph._from_masks(_saturated(g, d.bags))
 
 
 def subsumes(d1: TreeDecomposition, d2: TreeDecomposition) -> bool:
@@ -157,31 +135,6 @@ def clique_graph(h: Graph) -> WeightedCliqueGraph:
         for j in range(i + 1, k)
     )
     return WeightedCliqueGraph(nodes=tuple(bags), edges=edges)
-
-
-def _greedy_max_tree(
-    k: int, edges: tuple[tuple[int, int, int], ...]
-) -> frozenset[tuple[int, int]]:
-    ordered = sorted(edges, key=lambda e: (-e[2], e[0], e[1]))
-    parent = list(range(k))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    tree = set()
-    for i, j, _w in ordered:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            tree.add((i, j))
-            if len(tree) == k - 1:
-                break
-    if len(tree) != k - 1:
-        raise DisconnectedGraphError("weighted graph is not connected")
-    return frozenset(tree)
 
 
 def _tree_path(
@@ -223,7 +176,7 @@ def enum_max_spanning_trees(
         yield ()
         return
     weight = {(i, j): w for i, j, w in wg.edges}
-    first = _greedy_max_tree(k, wg.edges)
+    first = frozenset((i, j) for i, j, _w in _max_spanning_tree(k, wg.edges))
     seen = {first}
     queue: deque[frozenset[tuple[int, int]]] = deque([first])
     while queue:

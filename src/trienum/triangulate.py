@@ -17,15 +17,16 @@ from .graph import (
     DisconnectedGraphError,
     Graph,
     GraphError,
+    _component,
     _components_masks,
     _mcs,
     _neighborhood_mask,
+    _saturate,
     bits,
     induced_subgraph,
     is_chordal,
     is_connected,
     mask_of,
-    saturate,
     vertex_set,
 )
 from .maxind import EnumStats, EventHook, ImplicitGraph, enum_max_independent
@@ -34,7 +35,6 @@ from .separators import (
     canon,
     crosses,
     enum_min_seps,
-    find_min_sep,
     is_minimal_separator,
 )
 
@@ -69,15 +69,17 @@ def _check_family(
     return fam
 
 
+def _saturated(g: Graph, sets: Iterable[Iterable[int]]) -> list[int]:
+    """The adjacency masks of g with every one of the sets saturated."""
+    adj = list(g._adj)
+    for vs in sets:
+        _saturate(adj, mask_of(vs))
+    return adj
+
+
 def saturate_family(g: Graph, phi: Iterable[Iterable[int]]) -> Graph:
     """Saturate every separator of the family in g."""
-    fam = _check_family(g, phi, verify=False)
-    adj = list(g._adj)
-    for s in fam:
-        smask = mask_of(s)
-        for v in bits(smask):
-            adj[v] |= smask & ~(1 << v)
-    return Graph._from_masks(adj)
+    return Graph._from_masks(_saturated(g, _check_family(g, phi, verify=False)))
 
 
 def _minfill_masks(adj: list[int], n: int) -> list[tuple[int, int]]:
@@ -202,53 +204,13 @@ def is_minimal_triangulation(g: Graph, h: Graph) -> bool:
     )
 
 
-def _extract_minseps_masks(adj: list[int], n: int) -> list[int]:
-    """Minimal separators of a connected chordal graph, as masks: the
-    intersections of adjacent bags in a maximum-weight clique tree."""
-    _order, chordal, cliques = _mcs(adj, n)
-    if not chordal or cliques is None:
-        raise GraphError("internal: expected a chordal graph")
-    k = len(cliques)
-    if k <= 1:
-        return []
-    buckets: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-    for i in range(k):
-        ci = cliques[i]
-        for j in range(i + 1, k):
-            buckets[(ci & cliques[j]).bit_count()].append((i, j))
-    parent = list(range(k))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    seps: set[int] = set()
-    taken = 0
-    for w in range(n, -1, -1):
-        for i, j in buckets[w]:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-                inter = cliques[i] & cliques[j]
-                if inter:
-                    seps.add(inter)
-                taken += 1
-                if taken == k - 1:
-                    return sorted(seps)
-    return sorted(seps)
-
-
 def _extend_blackbox(g: Graph, fam: ParallelFamily) -> ParallelFamily:
-    adj = list(g._adj)
-    for s in fam:
-        smask = mask_of(s)
-        for v in bits(smask):
-            adj[v] |= smask & ~(1 << v)
-    fill = _minfill_masks(adj, g.n)
-    _sandwich_masks(adj, fill)
-    return frozenset(vertex_set(m) for m in _extract_minseps_masks(adj, g.n))
+    adj = _saturated(g, fam)
+    _sandwich_masks(adj, _minfill_masks(adj, g.n))
+    parts = _mcs(adj, g.n)
+    if parts is None:
+        raise GraphError("internal: expected a chordal graph")
+    return frozenset(vertex_set(m) for m in parts[1])
 
 
 def extend_family_blackbox(g: Graph, phi: Iterable[Iterable[int]]) -> ParallelFamily:
@@ -261,6 +223,15 @@ def extend_family_blackbox(g: Graph, phi: Iterable[Iterable[int]]) -> ParallelFa
     if not is_connected(g):
         raise DisconnectedGraphError("extend_family_blackbox requires a connected graph")
     return _extend_blackbox(g, _check_family(g, phi))
+
+
+def _split(adj: list[int], piece: int, smask: int) -> list[int]:
+    """The pieces ``comp | (N(comp) & piece)`` for every component comp of
+    piece minus the clique smask, ordered by smallest member."""
+    return [
+        comp | (_neighborhood_mask(adj, comp) & piece)
+        for comp in _components_masks(adj, piece & ~smask)
+    ]
 
 
 def get_components(c: Graph, S: Iterable[int]) -> list[tuple[Graph, tuple[int, ...]]]:
@@ -276,50 +247,61 @@ def get_components(c: Graph, S: Iterable[int]) -> list[tuple[Graph, tuple[int, .
     for v in bits(smask):
         if smask & ~c._adj[v] & ~(1 << v):
             raise GraphError(f"{sorted(vertex_set(smask))} is not a clique")
-    out = []
-    sub = (1 << c.n) - 1 & ~smask
-    for comp in _components_masks(c._adj, sub):
-        piece = comp | _neighborhood_mask(c._adj, comp)
-        out.append(induced_subgraph(c, bits(piece)))
-    return out
+    return [
+        induced_subgraph(c, bits(piece))
+        for piece in _split(c._adj, (1 << c.n) - 1, smask)
+    ]
 
 
-def _decompose(
-    g: Graph, fam: ParallelFamily
-) -> list[tuple[Graph, tuple[int, ...]]]:
-    queue: deque[tuple[Graph, tuple[int, ...], frozenset[Separator]]] = deque(
-        [(g, tuple(range(g.n)), fam)]
+def _split_and_route(
+    adj: list[int],
+    fam: ParallelFamily,
+    choose: Callable[[list[int], int], int] | None = None,
+) -> tuple[list[int], set[int]]:
+    """Split the graph on ``adj`` along a family, saturating ``adj`` in place.
+
+    A piece that holds family members is split along the canonically
+    smallest one, and every other member not inside it is routed to the
+    new piece that contains it. A piece that holds none is split along
+    ``choose(adj, piece)`` until that returns 0. Returns the final
+    pieces and the boundaries ``N(comp)`` of every split, as masks.
+    """
+    queue: deque[tuple[int, list[int]]] = deque(
+        [((1 << len(adj)) - 1, [mask_of(s) for s in sorted(fam, key=canon)])]
     )
-    done: list[tuple[Graph, tuple[int, ...]]] = []
+    done: list[int] = []
+    boundaries: set[int] = set()
     while queue:
-        c, orig, seps = queue.popleft()
-        if not seps:
-            done.append((c, orig))
-            continue
-        s_orig = min(seps, key=canon)
-        index = {o: i for i, o in enumerate(orig)}
-        s_local = frozenset(index[o] for o in s_orig)
-        c_sat = saturate(c, s_local)
-        pieces = get_components(c_sat, s_local)
+        piece, seps = queue.popleft()
+        if seps:
+            smask = seps[0]
+            # members nested inside the split separator stop separating
+            # anything: every pair they split now lies in distinct pieces
+            rest = [t for t in seps if t & ~smask]
+        else:
+            smask = choose(adj, piece) if choose else 0
+            if not smask:
+                done.append(piece)
+                continue
+            rest = []
+        _saturate(adj, smask)
+        pieces = _split(adj, piece, smask)
         if len(pieces) <= 1:
             raise GraphError(
-                f"{sorted(s_orig)} does not separate its piece; family is not valid"
+                f"{list(bits(smask))} does not separate its piece; family is not valid"
             )
-        # separators nested inside the split separator stop separating
-        # anything: every pair they split now lies in distinct pieces
-        rest = {s for s in seps if not s <= s_orig}
-        placed: set[Separator] = set()
-        for piece, sub_orig in pieces:
-            piece_orig = tuple(orig[i] for i in sub_orig)
-            members = set(piece_orig)
-            routed = frozenset(s for s in rest if s <= members)
-            placed |= routed
-            queue.append((piece, piece_orig, routed))
-        if placed != rest:
-            missing = sorted(sorted(s) for s in rest - placed)
+        unplaced = set(rest)
+        for sub in pieces:
+            # the piece keeps its boundary into the separator as a
+            # clique; that boundary is itself a contained separator
+            boundaries.add(sub & smask)
+            routed = [t for t in rest if not t & ~sub]
+            unplaced.difference_update(routed)
+            queue.append((sub, routed))
+        if unplaced:
+            missing = sorted(list(bits(t)) for t in unplaced)
             raise GraphError(f"separators {missing} fit in no piece; family is not valid")
-    done.sort(key=lambda item: item[1])
-    return done
+    return done, boundaries
 
 
 def decompose(
@@ -328,79 +310,45 @@ def decompose(
     """Split a connected graph along a pairwise-parallel separator family.
 
     Repeatedly selects the canonically smallest separator contained in a
-    pending piece, saturates it, splits via ``get_components``, and
-    routes each remaining separator to the piece that contains it.
-    Output pieces carry id maps back to g and contain no member of the
-    family as a separator.
+    pending piece, saturates it, splits off ``comp | (N(comp) & piece)``
+    for every component of the piece minus it, and routes each remaining
+    separator to the piece that contains it. Output pieces carry id maps
+    back to g and contain no member of the family as a separator.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("decompose requires a connected graph")
-    return _decompose(g, _check_family(g, phi))
+    adj = list(g._adj)
+    pieces, _ = _split_and_route(adj, _check_family(g, phi))
+    h = Graph._from_masks(adj)
+    pieces.sort(key=lambda m: tuple(bits(m)))
+    return [induced_subgraph(h, bits(piece)) for piece in pieces]
 
 
-def _is_clique(c: Graph) -> bool:
-    full = (1 << c.n) - 1
-    return all(c._adj[v] == full & ~(1 << v) for v in range(c.n))
+def _choose_min_sep(adj: list[int], piece: int) -> int:
+    # the first non-adjacent pair (u, v) of the piece, separated by the
+    # neighborhood of v's component in the piece minus N(u)
+    for u in bits(piece):
+        above = (piece & ~adj[u]) >> (u + 1) << (u + 1)
+        if above:
+            comp = _component(adj, piece & ~adj[u], above & -above)
+            return _neighborhood_mask(adj, comp) & piece
+    return 0
 
 
 def _extend_separator(g: Graph, fam: ParallelFamily) -> ParallelFamily:
-    result: set[Separator] = set(fam)
-    queue: deque[tuple[Graph, tuple[int, ...], frozenset[Separator]]] = deque(
-        [(g, tuple(range(g.n)), fam)]
-    )
-    while queue:
-        c, orig, seps = queue.popleft()
-        if seps:
-            # split along a family member first, routing the others
-            s_orig = min(seps, key=canon)
-            index = {o: i for i, o in enumerate(orig)}
-            s_local = frozenset(index[o] for o in s_orig)
-            rest = {s for s in seps if not s <= s_orig}
-        else:
-            if _is_clique(c):
-                continue
-            pair = None
-            for u in range(c.n):
-                above = (~c._adj[u] & ~(1 << u) & ((1 << c.n) - 1)) >> (u + 1)
-                if above:
-                    pair = (u, u + 1 + (above & -above).bit_length() - 1)
-                    break
-            assert pair is not None
-            s_local = find_min_sep(c, *pair)
-            rest = set()
-        c_sat = saturate(c, s_local)
-        smask = mask_of(s_local)
-        pieces = get_components(c_sat, s_local)
-        if seps and len(pieces) <= 1:
-            raise GraphError(
-                f"{sorted(orig[i] for i in s_local)} does not separate its piece; "
-                "family is not valid"
-            )
-        placed: set[Separator] = set()
-        for piece, sub_orig in pieces:
-            piece_orig = tuple(orig[i] for i in sub_orig)
-            # the piece keeps its boundary into the separator as a
-            # clique; that boundary is itself a contained separator
-            boundary = mask_of(sub_orig) & smask
-            result.add(frozenset(orig[i] for i in bits(boundary)))
-            members = set(piece_orig)
-            routed = frozenset(s for s in rest if s <= members)
-            placed |= routed
-            queue.append((piece, piece_orig, routed))
-        if placed != set(rest):
-            missing = sorted(sorted(s) for s in set(rest) - placed)
-            raise GraphError(f"separators {missing} fit in no piece; family is not valid")
-    return frozenset(result)
+    _, boundaries = _split_and_route(list(g._adj), fam, _choose_min_sep)
+    return fam | frozenset(vertex_set(m) for m in boundaries)
 
 
 def extend_family_separator(g: Graph, phi: Iterable[Iterable[int]]) -> ParallelFamily:
     """Extend a pairwise-parallel family to a maximal one by decomposition.
 
     Decomposes g along the input family, then repeatedly picks the
-    lexicographically smallest non-adjacent pair in a non-clique piece,
-    separates it with a minimal separator close to the first vertex,
-    saturates, and splits; the neighborhood of each resulting component
-    joins the family. Ends when all pieces are cliques.
+    lexicographically smallest non-adjacent pair (u, v) in a non-clique
+    piece, separates it with the neighborhood of v's component in the
+    piece minus N(u), a minimal separator close to u, saturates, and
+    splits; the neighborhood of each resulting component joins the
+    family. Ends when all pieces are cliques.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("extend_family_separator requires a connected graph")
@@ -430,7 +378,6 @@ def separator_graph_instance(g: Graph, extender: str = "blackbox") -> ImplicitGr
         adjacent=lambda s, t: crosses(g, s, t),
         extend_to_max_ind=lambda fam: extend(g, frozenset(fam)),
         node_key=canon,
-        size_bound=max(g.n - 1, 0),
     )
 
 

@@ -1,6 +1,11 @@
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +25,26 @@ def write_cycle(tmp_path, n, name="g.col"):
     path = tmp_path / name
     path.write_text("\n".join(lines) + "\n")
     return str(path)
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+# SIGINT is restored to raise KeyboardInterrupt, as in an interactive
+# shell, because a background job inherits it ignored
+CLI = (
+    "import signal, sys; signal.signal(signal.SIGINT, signal.default_int_handler); "
+    "from trienum.cli import main; sys.exit(main())"
+)
+
+
+def spawn_cli(argv, **env):
+    env = {**os.environ, **env}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-c", CLI, *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
 
 
 def answers(out, kind):
@@ -193,8 +218,62 @@ class TestGuardsAndErrors:
         assert code == 2
         assert "exceeds 3 nodes" in err
 
+    def test_crossgraph_cap_env_not_an_integer(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("TRIENUM_CROSSGRAPH_LIMIT", "abc")
+        path = write_cycle(tmp_path, 5)
+        code, out, err = run_cli(capsys, ["crossgraph", path, "--format", "dimacs"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: TRIENUM_CROSSGRAPH_LIMIT must be a nonnegative integer, got 'abc'\n"
+
+    def test_crossgraph_cap_negative(self, tmp_path, capsys):
+        path = write_cycle(tmp_path, 5)
+        for command in ("crossgraph", "minseps"):
+            code, out, err = run_cli(
+                capsys,
+                [command, path, "--format", "dimacs", "--max-crossgraph-nodes", "-1"],
+            )
+            assert code == 2
+            assert out == ""
+            assert err == "error: --max-crossgraph-nodes must be a nonnegative integer, got '-1'\n"
+
     def test_empty_graph_rejected(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO('{"n": 0, "edges": []}'))
         code, _, err = run_cli(capsys, ["minseps", "--format", "json"])
         assert code == 1
         assert "no vertices" in err
+
+
+class TestProcessBoundary:
+    def test_closed_pipe_exits_quietly(self, tmp_path):
+        proc = spawn_cli(["triangulations", write_cycle(tmp_path, 12), "--format", "dimacs"])
+        lines = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert [json.loads(line)["kind"] for line in lines] == ["graph", "triangulation"]
+        assert proc.returncode == 141
+        assert err == b""
+
+    def test_interrupt_exits_quietly(self, tmp_path):
+        proc = spawn_cli(["triangulations", write_cycle(tmp_path, 12), "--format", "dimacs"])
+        proc.stdout.readline()
+        assert json.loads(proc.stdout.readline())["kind"] == "triangulation"
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 130
+        assert err == b"error: interrupted\n"
+
+    def test_output_independent_of_hash_seed(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("".join(f"{i} {(i + 1) % 8}\n" for i in range(8)) + "0 4\n")
+        for command in ("triangulations", "treedecomps"):
+            for extender in ("blackbox", "separator"):
+                argv = [command, str(path), "--extender", extender]
+                outs = []
+                for seed in ("1", "2"):
+                    proc = spawn_cli(argv, PYTHONHASHSEED=seed)
+                    out, _ = proc.communicate(timeout=60)
+                    assert proc.returncode == 0
+                    outs.append(out)
+                assert outs[0] == outs[1]
+                assert outs[0].count(b"\n") > 10

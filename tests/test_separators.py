@@ -7,6 +7,7 @@ from trienum import (
     DisconnectedGraphError,
     Graph,
     GraphError,
+    NotChordalError,
     canon,
     clq_min_seps,
     crosses,
@@ -214,6 +215,20 @@ class TestExtractMinSepsChordal:
                 assert all(
                     h.has_edge(a, b) for a, b in itertools.combinations(sorted(s), 2)
                 )
+
+    def test_matches_stream_beyond_oracle_size(self):
+        for seed in range(10):
+            for n in range(10, 31):
+                h = triangulate_heuristic(
+                    random_connected_graph(n, 0.2, random.Random(seed))
+                )
+                assert extract_min_seps_chordal(h) == set(enum_min_seps(h))
+
+    def test_rejects_disconnected_and_non_chordal(self):
+        with pytest.raises(DisconnectedGraphError):
+            extract_min_seps_chordal(Graph(3, [(0, 1)]))
+        with pytest.raises(NotChordalError):
+            extract_min_seps_chordal(cycle_graph(4))
 
 
 class TestClqMinSeps:

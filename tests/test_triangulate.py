@@ -365,7 +365,6 @@ class TestSeparatorGraphInstance:
         nodes = list(inst.node_stream())
         assert len(nodes) == 2
         assert inst.adjacent(nodes[0], nodes[1])
-        assert inst.size_bound == 3
 
     def test_c5_is_a_five_cycle(self):
         inst = separator_graph_instance(cycle_graph(5))
@@ -413,6 +412,19 @@ class TestEnumMinTriangulations:
             bb = {t.fill_edges for t in enum_min_triangulations(g, "blackbox")}
             sep = {t.fill_edges for t in enum_min_triangulations(g, "separator")}
             assert bb == sep
+
+    def test_both_extenders_agree_beyond_oracle_size(self):
+        for seed in range(10):
+            g = random_connected_graph(10 + seed % 5, 0.5, random.Random(seed))
+            answers = [
+                set(
+                    enum_max_independent(
+                        separator_graph_instance(g, extender), check_invariants=True
+                    )
+                )
+                for extender in ("blackbox", "separator")
+            ]
+            assert answers[0] == answers[1]
 
     def test_round_trip_and_size_bound(self):
         rng = random.Random(127)
