@@ -9,6 +9,8 @@ the mask layer is package-internal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 VertexSet = frozenset[int]
@@ -212,7 +214,8 @@ def connected_components(g: Graph) -> list[VertexSet]:
 
 
 def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) <= 1
+    full = (1 << g.n) - 1
+    return _component(g._adj, full, full & 1) == full
 
 
 def _saturate(adj: list[int], smask: int) -> None:
@@ -240,26 +243,34 @@ def _mcs(adj: Sequence[int], n: int) -> tuple[list[int], set[int]] | None:
     (Blair & Peyton 1993), so no clique tree is needed to find them.
     """
     order: list[int] = []
-    weights = [0] * n
     pos = [0] * n
     earlier = [0] * n
+    # buckets[w]: the unvisited vertices with w visited neighbors; the
+    # next vertex is the lowest one in the top nonempty bucket
+    buckets = [(1 << n) - 1] + [0] * n
+    top = 0
     visited = 0
     for step in range(n):
-        best = -1
-        best_w = -1
-        for v in range(n):
-            if not visited >> v & 1 and weights[v] > best_w:
-                best, best_w = v, weights[v]
-        v = best
+        while not buckets[top]:
+            top -= 1
+        b = buckets[top] & -buckets[top]
+        buckets[top] ^= b
+        v = b.bit_length() - 1
         order.append(v)
         pos[v] = step
         earlier[v] = adj[v] & visited
-        visited |= 1 << v
+        visited |= b
         m = adj[v] & ~visited
-        while m:
-            b = m & -m
-            m ^= b
-            weights[b.bit_length() - 1] += 1
+        if m:
+            for w in range(top, -1, -1):
+                moved = buckets[w] & m
+                if moved:
+                    buckets[w] ^= moved
+                    buckets[w + 1] |= moved
+                    m ^= moved
+                    if not m:
+                        break
+            top += 1
     for v in order:
         s = earlier[v]
         if not s:
@@ -315,6 +326,17 @@ def max_cliques_chordal(h: Graph) -> list[VertexSet]:
     return [vertex_set(m) for m in _max_clique_masks(h)]
 
 
+def _intersection_weights(masks: Sequence[int]) -> list[tuple[int, int, int]]:
+    """(i, j, |masks[i] & masks[j]|) for every pair i < j, weight-0
+    pairs included."""
+    k = len(masks)
+    return [
+        (i, j, (masks[i] & masks[j]).bit_count())
+        for i in range(k)
+        for j in range(i + 1, k)
+    ]
+
+
 def clique_tree(h: Graph) -> CliqueTree:
     """A maximum-weight spanning tree of the clique intersection graph.
 
@@ -324,25 +346,32 @@ def clique_tree(h: Graph) -> CliqueTree:
     if not is_connected(h):
         raise DisconnectedGraphError("clique_tree requires a connected graph")
     masks = _max_clique_masks(h)
-    k = len(masks)
-    weighted = [
-        (i, j, (masks[i] & masks[j]).bit_count())
-        for i in range(k)
-        for j in range(i + 1, k)
-    ]
-    return CliqueTree(
-        bags=tuple(vertex_set(m) for m in masks),
-        edges=tuple(_max_spanning_tree(k, weighted)),
-    )
+    tree, _groups = _max_spanning_tree(len(masks), _intersection_weights(masks))
+    return CliqueTree(bags=tuple(vertex_set(m) for m in masks), edges=tuple(tree))
+
+
+LevelGroup = tuple[int, list[tuple[int, int, int, int]]]
 
 
 def _max_spanning_tree(
     k: int, edges: Iterable[tuple[int, int, int]]
-) -> list[tuple[int, int, int]]:
-    """Kruskal over nodes 0..k-1: the (i, j, weight) edges of a
-    maximum-weight spanning tree, in the order taken. Edges are tried
-    heaviest first, ties broken by (i, j)."""
-    ordered = sorted(edges, key=lambda e: (-e[2], e[0], e[1]))
+) -> tuple[list[tuple[int, int, int]], list[LevelGroup]]:
+    """Kruskal over nodes 0..k-1, one weight level at a time.
+
+    Edges are tried heaviest first, ties broken by (i, j). Returns the
+    (i, j, weight) edges of a maximum-weight spanning tree in the order
+    taken, and the groups that every such tree is assembled from. For
+    each weight w, every maximum-weight spanning tree joins the
+    components of the edges heavier than w alike: among the edges of
+    weight w it takes a spanning tree of the multigraph they form on
+    those components. There is one group per component of that
+    multigraph: its node count r and its edges as (i, j, a, b), where
+    a, b in 0..r-1 number the components that edge (i, j) joins. Edges
+    inside one component are in no group. The pass stops after the
+    level that leaves one component.
+    """
+    # the sort is stable, also in reverse
+    ordered = sorted(sorted(edges), key=itemgetter(2), reverse=True)
     parent = list(range(k))
 
     def find(x: int) -> int:
@@ -351,14 +380,28 @@ def _max_spanning_tree(
             x = parent[x]
         return x
 
-    tree = []
-    for i, j, w in ordered:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            tree.append((i, j, w))
-            if len(tree) == k - 1:
-                break
+    tree: list[tuple[int, int, int]] = []
+    groups: list[LevelGroup] = []
+    for w, level in groupby(ordered, key=itemgetter(2)):
+        if len(tree) == k - 1:
+            break
+        cross = []
+        for i, j, _w in level:
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                cross.append((i, j, ri, rj))
+        for i, j, ri, rj in cross:
+            a, b = find(ri), find(rj)
+            if a != b:
+                parent[a] = b
+                tree.append((i, j, w))
+        # per new component: an id for each old one, and the edges
+        by_root: dict[int, tuple[dict[int, int], list]] = {}
+        for i, j, ri, rj in cross:
+            ids, group = by_root.setdefault(find(ri), ({}, []))
+            a = ids.setdefault(ri, len(ids))
+            group.append((i, j, a, ids.setdefault(rj, len(ids))))
+        groups += [(len(ids), group) for ids, group in by_root.values()]
     if len(tree) < k - 1:
         raise DisconnectedGraphError("weighted graph is not connected")
-    return tree
+    return tree, groups

@@ -11,7 +11,6 @@ triangulation's clique intersection graph.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -21,10 +20,14 @@ from .graph import (
     GraphError,
     VertexSet,
     _component,
+    _intersection_weights,
+    _max_clique_masks,
     _max_spanning_tree,
+    bits,
     is_connected,
     mask_of,
     max_cliques_chordal,
+    vertex_set,
 )
 from .maxind import EnumStats, EventHook
 from .triangulate import _saturated, enum_min_triangulations, is_minimal_triangulation
@@ -127,36 +130,81 @@ def clique_graph(h: Graph) -> WeightedCliqueGraph:
     """The weighted clique intersection graph of a connected chordal graph."""
     if not is_connected(h):
         raise DisconnectedGraphError("clique_graph requires a connected graph")
-    bags = max_cliques_chordal(h)
-    k = len(bags)
-    edges = tuple(
-        (i, j, len(bags[i] & bags[j]))
-        for i in range(k)
-        for j in range(i + 1, k)
+    masks = _max_clique_masks(h)
+    return WeightedCliqueGraph(
+        nodes=tuple(vertex_set(m) for m in masks),
+        edges=tuple(_intersection_weights(masks)),
     )
-    return WeightedCliqueGraph(nodes=tuple(bags), edges=edges)
 
 
-def _tree_path(
-    tree_adj: dict[int, list[int]], a: int, b: int
-) -> list[tuple[int, int]]:
-    prev = {a: a}
-    frontier = deque([a])
-    while frontier:
-        x = frontier.popleft()
-        if x == b:
-            break
-        for y in tree_adj.get(x, ()):
-            if y not in prev:
-                prev[y] = x
-                frontier.append(y)
-    path = []
-    x = b
-    while x != a:
-        p = prev[x]
-        path.append((min(p, x), max(p, x)))
-        x = p
-    return path
+def _spanning_trees(
+    r: int, edges: list[tuple[int, int, int, int]]
+) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Stream the spanning trees of a connected multigraph on nodes
+    0..r-1, given as (i, j, a, b): an edge labelled (i, j) between nodes
+    a and b. Each tree is yielded as its edges' labels, in edge order.
+
+    Include/exclude branching over the edges in order (Read & Tarjan
+    1975). An edge is taken whenever it joins two components of the
+    edges taken so far, and the branch that leaves it out is entered
+    only if the edges not left out still connect its ends. So every
+    branch ends in a tree, the delay is polynomial, and the first tree
+    is the greedy one. The branching keeps its own stack, so its depth
+    is not limited by the interpreter's recursion limit.
+    """
+    full = (1 << r) - 1
+    count: dict[int, int] = {}  # multiplicity of each pair, left-out edges not counted
+    adj = [0] * r  # adjacency masks of the edges not left out
+
+    def shift(a: int, b: int, step: int) -> None:
+        key = 1 << a | 1 << b
+        count[key] = count.get(key, 0) + step
+        if count[key]:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        else:
+            adj[a] &= ~(1 << b)
+            adj[b] &= ~(1 << a)
+
+    for _i, _j, a, b in edges:
+        shift(a, b, 1)
+    comp = [1 << v for v in range(r)]  # component masks of the taken edges
+    taken: list[tuple[int, int]] = []
+    # per decision: (p, the two merged component masks) when edge p was
+    # taken, or (p, 0, 0) when it was left out
+    stack: list[tuple[int, int, int]] = []
+    p = 0
+    while True:
+        while len(taken) < r - 1:
+            i, j, a, b = edges[p]
+            if not comp[a] >> b & 1:
+                ma, mb = comp[a], comp[b]
+                merged = ma | mb
+                for v in bits(merged):
+                    comp[v] = merged
+                stack.append((p, ma, mb))
+                taken.append((i, j))
+            p += 1
+        yield tuple(taken)
+        while True:
+            if not stack:
+                return
+            p, ma, mb = stack.pop()
+            _i, _j, a, b = edges[p]
+            if not ma:
+                shift(a, b, 1)
+                continue
+            for v in bits(ma):
+                comp[v] = ma
+            for v in bits(mb):
+                comp[v] = mb
+            taken.pop()
+            shift(a, b, -1)
+            if _component(adj, full, 1 << a) >> b & 1:
+                stack.append((p, 0, 0))
+                p += 1
+                break
+            shift(a, b, 1)
 
 
 def enum_max_spanning_trees(
@@ -164,37 +212,43 @@ def enum_max_spanning_trees(
 ) -> Iterator[tuple[tuple[int, int], ...]]:
     """Stream every maximum-weight spanning tree exactly once.
 
-    One maximum tree is built greedily; the rest are reached by
-    breadth-first exploration of equal-weight edge exchanges (swap a
-    tree edge for a non-tree edge of the same weight across the cycle it
-    closes). Trees are emitted as canonically sorted edge tuples.
+    The maximum-weight spanning trees are a product over the weight
+    levels: at each weight, every such tree joins the components of the
+    heavier edges alike, by a spanning tree of the multigraph that the
+    level's edges form on them. One Kruskal pass (`_max_spanning_tree`)
+    finds these level groups; a group with a single spanning tree is
+    fixed, and the others are enumerated lazily by `_spanning_trees`
+    and combined like an odometer, the last group changing fastest. The
+    delay is polynomial and no past tree is remembered. The first tree
+    is the Kruskal tree; trees are emitted as canonically sorted edge
+    tuples.
     """
     k = len(wg.nodes)
     if k == 0:
         raise GraphError("clique graph has no nodes")
-    if k == 1:
-        yield ()
-        return
-    weight = {(i, j): w for i, j, w in wg.edges}
-    first = frozenset((i, j) for i, j, _w in _max_spanning_tree(k, wg.edges))
-    seen = {first}
-    queue: deque[frozenset[tuple[int, int]]] = deque([first])
-    while queue:
-        tree = queue.popleft()
-        yield tuple(sorted(tree))
-        tree_adj: dict[int, list[int]] = {}
-        for a, b in tree:
-            tree_adj.setdefault(a, []).append(b)
-            tree_adj.setdefault(b, []).append(a)
-        for i, j, w in wg.edges:
-            if (i, j) in tree:
-                continue
-            for f in _tree_path(tree_adj, i, j):
-                if weight[f] == w:
-                    swapped = tree - {f} | {(i, j)}
-                    if swapped not in seen:
-                        seen.add(swapped)
-                        queue.append(swapped)
+    _tree, groups = _max_spanning_tree(k, wg.edges)
+    fixed: list[tuple[int, int]] = []
+    factors = []
+    for r, group in groups:
+        if len(group) == r - 1:
+            fixed += [(i, j) for i, j, _a, _b in group]
+        else:
+            factors.append((r, group))
+    streams = [_spanning_trees(r, group) for r, group in factors]
+    current = [next(s) for s in streams]
+    while True:
+        yield tuple(sorted(fixed + [e for tree in current for e in tree]))
+        f = len(factors) - 1
+        while f >= 0:
+            tree = next(streams[f], None)
+            if tree is not None:
+                current[f] = tree
+                break
+            streams[f] = _spanning_trees(*factors[f])
+            current[f] = next(streams[f])
+            f -= 1
+        if f < 0:
+            return
 
 
 def enum_proper_tds(
@@ -208,7 +262,10 @@ def enum_proper_tds(
     For each minimal triangulation, one decomposition is emitted per
     maximum-weight spanning tree of its clique intersection graph;
     decompositions sharing a triangulation differ only in tree shape,
-    not in bags.
+    not in bags. They come as one consecutive group per triangulation,
+    in the order of `enum_min_triangulations`. Each group starts with
+    the Kruskal tree of `clique_tree`, and the rest follow in the fixed
+    order of `enum_max_spanning_trees`.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("enum_proper_tds requires a connected graph")

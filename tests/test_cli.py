@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -11,6 +12,8 @@ import pytest
 
 from trienum import TreeDecomposition, is_proper, is_tree_decomposition, parse_graph
 from trienum.cli import main
+
+from conftest import random_connected_graph
 
 
 def run_cli(capsys, argv):
@@ -36,15 +39,19 @@ CLI = (
 )
 
 
-def spawn_cli(argv, **env):
+def spawn_python(args, **env):
     env = {**os.environ, **env}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.Popen(
-        [sys.executable, "-c", CLI, *argv],
+        [sys.executable, *args],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
     )
+
+
+def spawn_cli(argv, **env):
+    return spawn_python(["-c", CLI, *argv], **env)
 
 
 def answers(out, kind):
@@ -277,3 +284,40 @@ class TestProcessBoundary:
                     outs.append(out)
                 assert outs[0] == outs[1]
                 assert outs[0].count(b"\n") > 10
+
+    def test_multi_tree_output_independent_of_hash_seed(self, tmp_path):
+        # triangulations of these graphs have several clique trees each
+        star = [(0, leaf) for leaf in range(1, 5)]
+        seeded = random_connected_graph(12, 0.3, random.Random(3)).edges()
+        for name, edges in (("star", star), ("seeded", seeded)):
+            path = tmp_path / f"{name}.txt"
+            path.write_text("".join(f"{u} {v}\n" for u, v in edges))
+            for extender in ("blackbox", "separator"):
+                argv = ["treedecomps", str(path), "--extender", extender]
+                outs = []
+                for seed in ("1", "2"):
+                    proc = spawn_cli(argv, PYTHONHASHSEED=seed)
+                    out, _ = proc.communicate(timeout=60)
+                    assert proc.returncode == 0
+                    outs.append(out)
+                assert outs[0] == outs[1]
+                bag_sets = [
+                    str(sorted(r["answer"]["bags"]))
+                    for r in answers(outs[0].decode(), "treedecomp")
+                ]
+                assert len(bag_sets) > len(set(bag_sets))
+
+    def test_python_m_trienum(self, tmp_path):
+        argv = ["treedecomps", write_cycle(tmp_path, 6), "--format", "dimacs"]
+        outs = []
+        for module in ("trienum", "trienum.cli"):
+            proc = spawn_python(["-m", module, *argv])
+            out, err = proc.communicate(timeout=60)
+            assert proc.returncode == 0
+            assert err == b""
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert outs[0].count(b"\n") > 10
+        proc = spawn_python(["-m", "trienum", "minseps", str(tmp_path / "missing")])
+        proc.communicate(timeout=60)
+        assert proc.returncode == 1

@@ -1,5 +1,7 @@
+import inspect
 import itertools
 import random
+import sys
 from collections import defaultdict
 
 import pytest
@@ -16,6 +18,7 @@ from trienum import (
     enum_max_spanning_trees,
     enum_min_triangulations,
     enum_proper_tds,
+    is_connected,
     is_proper,
     is_tree_decomposition,
     max_cliques_chordal,
@@ -23,6 +26,7 @@ from trienum import (
     subsumes,
     triangulate_heuristic,
 )
+from trienum.graph import _max_spanning_tree
 from trienum.oracle import brute_min_triangulations
 
 from conftest import (
@@ -201,6 +205,26 @@ def _brute_spanning_trees(wg):
     return {t for t in trees if sum(weight[e] for e in t) == best}
 
 
+def _random_weighted_graph(k, rng):
+    """A complete graph on k nodes with weights from {0, 1, 2}: 2 inside
+    a random block, 1 between blocks of one random group, 0 elsewhere,
+    and one weight in five redrawn. So many of these graphs tie on
+    several levels, and in many the positive edges leave the graph
+    disconnected."""
+    group = [rng.randrange(2) for _ in range(k)]
+    block = [2 * g + rng.randrange(2) for g in group]
+
+    def weight(i, j):
+        if rng.random() < 0.2:
+            return rng.choice((0, 1, 2))
+        return 2 if block[i] == block[j] else int(group[i] == group[j])
+
+    return WeightedCliqueGraph(
+        nodes=tuple(frozenset({i}) for i in range(k)),
+        edges=tuple((i, j, weight(i, j)) for i in range(k) for j in range(i + 1, k)),
+    )
+
+
 class TestEnumMaxSpanningTrees:
     def test_triangle_equal_weights(self):
         wg = WeightedCliqueGraph(
@@ -242,6 +266,54 @@ class TestEnumMaxSpanningTrees:
             assert len(got) == len(set(got))
             assert set(got) == _brute_spanning_trees(wg)
         assert max(seen_sizes) >= 4
+
+    def test_matches_brute_on_tied_levels(self):
+        rng = random.Random(7)
+        several_tied_levels = zero_level_factor = 0
+        for _ in range(40):
+            wg = _random_weighted_graph(rng.randint(2, 7), rng)
+            k = len(wg.nodes)
+            got = list(enum_max_spanning_trees(wg))
+            assert len(got) == len(set(got))
+            assert set(got) == _brute_spanning_trees(wg)
+            _tree, groups = _max_spanning_tree(k, wg.edges)
+            if sum(len(group) > r - 1 for r, group in groups) >= 2:
+                several_tied_levels += 1
+            positive = Graph(k, [(i, j) for i, j, w in wg.edges if w > 0])
+            zero_factors = [
+                group
+                for r, group in groups
+                if len(group) > r - 1
+                and all((i, j, 0) in wg.edges for i, j, _a, _b in group)
+            ]
+            if not is_connected(positive) and zero_factors:
+                zero_level_factor += 1
+        assert several_tied_levels >= 5
+        assert zero_level_factor >= 5
+
+    def test_first_tree_is_kruskal_tree(self):
+        rng = random.Random(8)
+        for _ in range(40):
+            wg = _random_weighted_graph(rng.randint(1, 7), rng)
+            tree, _groups = _max_spanning_tree(len(wg.nodes), wg.edges)
+            first = next(enum_max_spanning_trees(wg))
+            assert first == tuple(sorted((i, j) for i, j, _w in tree))
+
+    def test_star_k16_cayley_count(self):
+        trees = list(enum_max_spanning_trees(clique_graph(star_graph(6))))
+        assert len(trees) == len(set(trees)) == 6**4
+
+    def test_star_k160_streams_without_deep_recursion(self):
+        wg = clique_graph(star_graph(60))
+        limit = sys.getrecursionlimit()
+        # a factor with 1770 edges must not need a frame per edge
+        sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+        try:
+            trees = list(itertools.islice(enum_max_spanning_trees(wg), 1000))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(set(trees)) == 1000
+        assert all(len(t) == 59 for t in trees)
 
     def test_disconnected_raises(self):
         wg = WeightedCliqueGraph(
