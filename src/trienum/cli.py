@@ -1,5 +1,14 @@
 """Command-line front end: parse a graph, stream enumeration answers.
 
+Every command is one entry of the ``COMMANDS`` table: its help text, the
+``kind`` of its JSONL records, a generator of JSON-ready answers for one
+connected component (in input ids), a plain renderer and, for the
+commands that have one, a dot renderer. The subcommands and the check
+that ``--output dot`` is available come from the table, and one loop,
+``_run``, writes the answers of every command: it numbers the JSONL
+records across components, tags them with their component, and stops
+at ``--limit`` right after an answer is written.
+
 Answers are written one per line and flushed immediately, so piping
 into ``head`` or using ``--limit`` stops the enumeration early instead
 of waiting for it to finish. Exit codes: 0 on success, 1 on input
@@ -15,7 +24,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Iterable, TextIO
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .graph import Graph, GraphError, connected_components, induced_subgraph
 from .io import FORMATS, ParseError, parse_graph
@@ -24,15 +33,177 @@ from .separators import crosses, enum_min_seps
 from .treedecomp import enum_proper_tds
 from .triangulate import EXTENDERS, enum_min_triangulations
 
-COMMANDS = ("minseps", "triangulations", "treedecomps", "crossgraph", "stats")
 DEFAULT_CROSSGRAPH_LIMIT = 500
 CROSSGRAPH_LIMIT_ENV = "TRIENUM_CROSSGRAPH_LIMIT"
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as the shell reports Ctrl-C
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as for a writer killed by SIGPIPE
+Ids = tuple[int, ...]  # a component's vertex ids in the input graph
 
 
 class GuardViolation(RuntimeError):
     pass
+
+
+def _fmt_pairs(edges: Iterable[Iterable[int]]) -> str:
+    text = ",".join(f"{u}-{v}" for u, v in sorted(edges))
+    return text if text else "-"
+
+
+def _fmt_set(vs: Iterable[int]) -> str:
+    return " ".join(str(v) for v in sorted(vs))
+
+
+def _dot(name: str, node: str, labels: list[list[int]], edges: list[list[int]]) -> str:
+    lines = [f"graph {name} {{"]
+    lines += [f'  {node}{i} [label="{_fmt_set(s)}"];' for i, s in enumerate(labels)]
+    lines += [f"  {node}{a} -- {node}{b};" for a, b in edges]
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def _percentile(samples: list[float], q: float) -> float:
+    if not samples:
+        return 0.0
+    ordered = sorted(samples)
+    pos = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
+    return ordered[pos]
+
+
+# The answer generators look up the enumerators in this module's namespace
+# when they run, so a caller that rebinds ``cli.enum_min_seps`` and the
+# like (as the benchmark's tracer does) sees every call.
+
+
+def _minseps(sub: Graph, orig: Ids, args: argparse.Namespace) -> Iterator[Any]:
+    for sep in enum_min_seps(sub):
+        yield sorted(orig[v] for v in sep)
+
+
+def _triangulations(sub: Graph, orig: Ids, args: argparse.Namespace) -> Iterator[Any]:
+    for tri in enum_min_triangulations(sub, extender=args.extender):
+        fill = sorted(
+            [min(orig[u], orig[v]), max(orig[u], orig[v])] for u, v in tri.fill_edges
+        )
+        yield {"fill": fill, "edge_count": tri.chordal_graph.edge_count}
+
+
+def _triangulation_plain(tri: dict) -> str:
+    return f"fill={_fmt_pairs(tri['fill'])} m={tri['edge_count']}"
+
+
+def _treedecomps(sub: Graph, orig: Ids, args: argparse.Namespace) -> Iterator[Any]:
+    for d in enum_proper_tds(sub, extender=args.extender):
+        bags = [sorted(orig[v] for v in b) for b in d.bags]
+        yield {"bags": bags, "tree": [[a, b] for a, b in d.edges]}
+
+
+def _treedecomp_plain(td: dict) -> str:
+    bags = "|".join(_fmt_set(b) for b in td["bags"])
+    return f"bags={bags} tree={_fmt_pairs(td['tree'])}"
+
+
+def _treedecomp_dot(td: dict, cid: int | None, k: int) -> str:
+    name = f"td{k}" if cid is None else f"td_c{cid}_{k}"
+    return _dot(name, "b", td["bags"], td["tree"])
+
+
+def _crossgraph(sub: Graph, orig: Ids, args: argparse.Namespace) -> Iterator[Any]:
+    cap = args.max_crossgraph_nodes
+    nodes = []
+    for sep in enum_min_seps(sub):
+        nodes.append(sep)
+        if len(nodes) > cap:
+            raise GuardViolation(
+                f"crossing graph exceeds {cap} nodes; raise the cap with "
+                f"--max-crossgraph-nodes or {CROSSGRAPH_LIMIT_ENV}"
+            )
+    edges = [
+        [i, j]
+        for i in range(len(nodes))
+        for j in range(i + 1, len(nodes))
+        if crosses(sub, nodes[i], nodes[j])
+    ]
+    yield {"nodes": [sorted(orig[v] for v in s) for s in nodes], "edges": edges}
+
+
+def _crossgraph_plain(cg: dict) -> str:
+    # only the first line carries the component prefix
+    lines = [f"nodes={len(cg['nodes'])} edges={len(cg['edges'])}"]
+    lines += [f"node {i}: {_fmt_set(s)}" for i, s in enumerate(cg["nodes"])]
+    lines += [f"edge {a} {b}" for a, b in cg["edges"]]
+    return "\n".join(lines)
+
+
+def _crossgraph_dot(cg: dict, cid: int | None, k: int) -> str:
+    name = "crossgraph" if cid is None else f"crossgraph_c{cid}"
+    return _dot(name, "s", cg["nodes"], cg["edges"])
+
+
+def _stats(sub: Graph, orig: Ids, args: argparse.Namespace) -> Iterator[Any]:
+    stats = EnumStats()
+    tris = enum_min_triangulations(sub, extender=args.extender, stats=stats)
+    count = sum(1 for _ in tris)
+    answer: dict[str, object] = {
+        "n": sub.n,
+        "edge_count": sub.edge_count,
+        "triangulations": count,
+        "minimal_separators": stats.nodes_pulled,
+        "extender_calls": stats.extender_calls,
+    }
+    if args.delay_stats:
+        ms = [d * 1000.0 for d in stats.delays]
+        answer["delay_ms"] = {
+            "first": ms[0] if ms else 0.0,
+            "p50": _percentile(ms, 0.50),
+            "p90": _percentile(ms, 0.90),
+            "p99": _percentile(ms, 0.99),
+            "max": max(ms) if ms else 0.0,
+        }
+    yield answer
+
+
+def _stats_plain(answer: dict) -> str:
+    # delay_ms is shown in jsonl only
+    return " ".join(f"{k}={v}" for k, v in answer.items() if k != "delay_ms")
+
+
+class Command(NamedTuple):
+    help: str
+    kind: str  # the "kind" of the command's JSONL records
+    answers: Callable[[Graph, Ids, argparse.Namespace], Iterator[Any]]
+    plain: Callable[[Any], str]
+    dot: Callable[[Any, int | None, int], str] | None = None
+
+
+COMMANDS = {
+    "minseps": Command("stream all minimal separators", "minsep", _minseps, _fmt_set),
+    "triangulations": Command(
+        "stream all minimal triangulations",
+        "triangulation",
+        _triangulations,
+        _triangulation_plain,
+    ),
+    "treedecomps": Command(
+        "stream all proper tree decompositions",
+        "treedecomp",
+        _treedecomps,
+        _treedecomp_plain,
+        _treedecomp_dot,
+    ),
+    "crossgraph": Command(
+        "materialize the separator crossing graph",
+        "crossgraph",
+        _crossgraph,
+        _crossgraph_plain,
+        _crossgraph_dot,
+    ),
+    "stats": Command(
+        "run the triangulation enumeration and report counters",
+        "stats",
+        _stats,
+        _stats_plain,
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,14 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
         "and proper tree decompositions of a graph.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("minseps", "stream all minimal separators"),
-        ("triangulations", "stream all minimal triangulations"),
-        ("treedecomps", "stream all proper tree decompositions"),
-        ("crossgraph", "materialize the separator crossing graph"),
-        ("stats", "run the triangulation enumeration and report counters"),
-    ):
-        p = sub.add_parser(name, help=text)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument(
             "input",
             nargs="?",
@@ -101,199 +266,32 @@ def _crossgraph_limit(args: argparse.Namespace) -> int:
     return int(text)
 
 
-class _Writer:
-    """Serializes answers in the selected output style, one per line."""
-
-    def __init__(self, out: TextIO, style: str, per_component: bool) -> None:
-        self.out = out
-        self.style = style
-        self.per_component = per_component
-        self.index = 0
-
-    def _prefix(self, component: int | None) -> str:
-        if self.per_component and component is not None:
-            return f"c{component} "
-        return ""
-
-    def emit_json(self, kind: str, answer: object, component: int | None) -> None:
-        record: dict[str, object] = {"kind": kind, "index": self.index}
-        if self.per_component and component is not None:
-            record["component"] = component
-        record["answer"] = answer
-        self.out.write(json.dumps(record, separators=(", ", ": ")) + "\n")
-        self.out.flush()
-        self.index += 1
-
-    def emit_plain(self, text: str, component: int | None) -> None:
-        self.out.write(self._prefix(component) + text + "\n")
-        self.out.flush()
-        self.index += 1
-
-    def emit_raw(self, text: str) -> None:
-        self.out.write(text + "\n")
-        self.out.flush()
-        self.index += 1
+def _write(line: str) -> None:
+    sys.stdout.write(line + "\n")
+    sys.stdout.flush()
 
 
-def _pairs(edges: Iterable[tuple[int, int]]) -> list[list[int]]:
-    return [[u, v] for u, v in sorted(edges)]
-
-
-def _fmt_pairs(edges: Iterable[tuple[int, int]]) -> str:
-    text = ",".join(f"{u}-{v}" for u, v in sorted(edges))
-    return text if text else "-"
-
-
-def _fmt_set(vs: Iterable[int]) -> str:
-    return " ".join(str(v) for v in sorted(vs))
-
-
-def _percentile(samples: list[float], q: float) -> float:
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    pos = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-    return ordered[pos]
-
-
-def _run_command(
-    args: argparse.Namespace,
-    writer: _Writer,
-    pieces: list[tuple[Graph, tuple[int, ...], int | None]],
-) -> None:
-    limit = args.limit
-    emitted = 0
-
-    def budget_left() -> bool:
-        return limit is None or emitted < limit
-
+def _run(args: argparse.Namespace, pieces: list[tuple[Graph, Ids, int | None]]) -> None:
+    """Write the answers of ``args.command`` for each piece, in the
+    selected output style. A piece's component id is None when the graph
+    is run whole; only tagged pieces get a component tag or prefix."""
+    command = COMMANDS[args.command]
+    index = 0
     for sub, orig, cid in pieces:
-        if not budget_left():
-            break
-        if args.command == "minseps":
-            for sep in enum_min_seps(sub):
-                ids = sorted(orig[v] for v in sep)
-                if args.output == "jsonl":
-                    writer.emit_json("minsep", ids, cid)
-                else:
-                    writer.emit_plain(_fmt_set(ids), cid)
-                emitted += 1
-                if not budget_left():
-                    break
-        elif args.command == "triangulations":
-            for tri in enum_min_triangulations(sub, extender=args.extender):
-                fill = sorted(
-                    (min(orig[u], orig[v]), max(orig[u], orig[v]))
-                    for u, v in tri.fill_edges
-                )
-                m = tri.chordal_graph.edge_count
-                if args.output == "jsonl":
-                    writer.emit_json(
-                        "triangulation", {"fill": _pairs(fill), "edge_count": m}, cid
-                    )
-                else:
-                    writer.emit_plain(f"fill={_fmt_pairs(fill)} m={m}", cid)
-                emitted += 1
-                if not budget_left():
-                    break
-        elif args.command == "treedecomps":
-            for k, d in enumerate(enum_proper_tds(sub, extender=args.extender)):
-                bags = [sorted(orig[v] for v in b) for b in d.bags]
-                tree = [[a, b] for a, b in d.edges]
-                if args.output == "jsonl":
-                    writer.emit_json("treedecomp", {"bags": bags, "tree": tree}, cid)
-                elif args.output == "dot":
-                    name = f"td{writer.index}" if cid is None else f"td_c{cid}_{k}"
-                    lines = [f"graph {name} {{"]
-                    for i, bag in enumerate(bags):
-                        lines.append(f'  b{i} [label="{_fmt_set(bag)}"];')
-                    for a, b in d.edges:
-                        lines.append(f"  b{a} -- b{b};")
-                    lines.append("}")
-                    writer.emit_raw("\n".join(lines))
-                else:
-                    bag_text = "|".join(_fmt_set(b) for b in bags)
-                    writer.emit_plain(
-                        f"bags={bag_text} tree={_fmt_pairs((a, b) for a, b in d.edges)}",
-                        cid,
-                    )
-                emitted += 1
-                if not budget_left():
-                    break
-        elif args.command == "crossgraph":
-            cap = args.max_crossgraph_nodes
-            nodes = []
-            for sep in enum_min_seps(sub):
-                nodes.append(sep)
-                if len(nodes) > cap:
-                    raise GuardViolation(
-                        f"crossing graph exceeds {cap} nodes; raise the cap with "
-                        f"--max-crossgraph-nodes or {CROSSGRAPH_LIMIT_ENV}"
-                    )
-            edges = [
-                [i, j]
-                for i in range(len(nodes))
-                for j in range(i + 1, len(nodes))
-                if crosses(sub, nodes[i], nodes[j])
-            ]
-            named = [sorted(orig[v] for v in s) for s in nodes]
+        for k, answer in enumerate(command.answers(sub, orig, args)):
             if args.output == "jsonl":
-                writer.emit_json("crossgraph", {"nodes": named, "edges": edges}, cid)
+                record: dict[str, object] = {"kind": command.kind, "index": index}
+                if cid is not None:
+                    record["component"] = cid
+                record["answer"] = answer
+                _write(json.dumps(record))
             elif args.output == "dot":
-                name = "crossgraph" if cid is None else f"crossgraph_c{cid}"
-                lines = [f"graph {name} {{"]
-                for i, s in enumerate(named):
-                    lines.append(f'  s{i} [label="{_fmt_set(s)}"];')
-                for a, b in edges:
-                    lines.append(f"  s{a} -- s{b};")
-                lines.append("}")
-                writer.emit_raw("\n".join(lines))
+                _write(command.dot(answer, cid, k))
             else:
-                writer.emit_plain(
-                    f"nodes={len(named)} edges={len(edges)}", cid
-                )
-                for i, s in enumerate(named):
-                    writer.emit_raw(f"node {i}: {_fmt_set(s)}")
-                for a, b in edges:
-                    writer.emit_raw(f"edge {a} {b}")
-            emitted += 1
-        elif args.command == "stats":
-            stats = EnumStats()
-            count = sum(1 for _ in enum_min_triangulations(
-                sub, extender=args.extender, stats=stats
-            ))
-            answer: dict[str, object] = {
-                "n": sub.n,
-                "edge_count": sub.edge_count,
-                "triangulations": count,
-                "minimal_separators": stats.nodes_pulled,
-                "extender_calls": stats.extender_calls,
-                "nodes_pulled": stats.nodes_pulled,
-            }
-            if args.delay_stats:
-                ms = [d * 1000.0 for d in stats.delays]
-                answer["delay_ms"] = {
-                    "first": ms[0] if ms else 0.0,
-                    "p50": _percentile(ms, 0.50),
-                    "p90": _percentile(ms, 0.90),
-                    "p99": _percentile(ms, 0.99),
-                    "max": max(ms) if ms else 0.0,
-                }
-            if args.output == "jsonl":
-                writer.emit_json("stats", answer, cid)
-            else:
-                text = " ".join(
-                    f"{key}={answer[key]}"
-                    for key in (
-                        "n",
-                        "edge_count",
-                        "triangulations",
-                        "minimal_separators",
-                        "extender_calls",
-                    )
-                )
-                writer.emit_plain(text, cid)
-            emitted += 1
+                _write(("" if cid is None else f"c{cid} ") + command.plain(answer))
+            index += 1
+            if index == args.limit:
+                return
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -314,8 +312,9 @@ def main(argv: list[str] | None = None) -> int:
 def _main(argv: list[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.output == "dot" and args.command not in ("treedecomps", "crossgraph"):
-        parser.error("dot output is only available for treedecomps and crossgraph")
+    if args.output == "dot" and COMMANDS[args.command].dot is None:
+        with_dot = [name for name, command in COMMANDS.items() if command.dot]
+        parser.error(f"dot output is only available for {' and '.join(with_dot)}")
     if args.limit is not None and args.limit < 1:
         parser.error("--limit must be at least 1")
     if args.command == "crossgraph" or args.max_crossgraph_nodes is not None:
@@ -327,7 +326,7 @@ def _main(argv: list[str] | None) -> int:
             return 2
     try:
         text = _read_input(args.input)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return 1
     try:
@@ -347,31 +346,18 @@ def _main(argv: list[str] | None) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.per_component and len(components) > 1:
-        pieces = []
-        for cid, comp in enumerate(components):
-            sub, orig = induced_subgraph(g, comp)
-            pieces.append((sub, orig, cid))
+    if len(components) > 1:
+        pieces = [
+            (*induced_subgraph(g, comp), cid) for cid, comp in enumerate(components)
+        ]
     else:
         pieces = [(g, tuple(range(g.n)), None)]
 
-    writer = _Writer(sys.stdout, args.output, args.per_component)
     if args.output == "jsonl":
-        writer.out.write(
-            json.dumps(
-                {
-                    "kind": "graph",
-                    "n": g.n,
-                    "edge_count": g.edge_count,
-                    "labels": labels,
-                },
-                separators=(", ", ": "),
-            )
-            + "\n"
-        )
-        writer.out.flush()
+        header = {"kind": "graph", "n": g.n, "edge_count": g.edge_count}
+        _write(json.dumps({**header, "labels": labels}))
     try:
-        _run_command(args, writer, pieces)
+        _run(args, pieces)
     except GuardViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -105,6 +105,11 @@ def _parse_edgelist(text: str) -> tuple[Graph, list[str]]:
     return Graph(len(labels), edges), labels
 
 
+def _is_int(x: object) -> bool:
+    # bool is a subclass of int, but true and false are not vertex ids
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_json(text: str) -> tuple[Graph, list[str]]:
     try:
         data = json.loads(text)
@@ -113,16 +118,14 @@ def _parse_json(text: str) -> tuple[Graph, list[str]]:
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise ParseError('expected an object with "n" and "edges"')
     n = data["n"]
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise ParseError('"n" must be a nonnegative integer')
+    if not isinstance(data["edges"], list):
+        raise ParseError('"edges" must be a list')
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for pos, pair in enumerate(data["edges"]):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(x, int) for x in pair)
-        ):
+        if not isinstance(pair, list) or len(pair) != 2 or not all(map(_is_int, pair)):
             raise ParseError(f"edge #{pos} must be a pair of integers")
         u, v = pair
         if not (0 <= u < n and 0 <= v < n):

@@ -17,6 +17,7 @@ from .graph import (
     GraphError,
     NotChordalError,
     VertexSet,
+    _check_subset,
     _component,
     _components_masks,
     _mcs,
@@ -39,9 +40,7 @@ def is_separator(g: Graph, S: Iterable[int], u: int, v: int) -> bool:
     """True iff u and v land in distinct components of g minus S."""
     g.check_vertex(u)
     g.check_vertex(v)
-    smask = mask_of(S)
-    if smask >> g.n:
-        raise GraphError(f"vertex set {sorted(S)} out of range for n={g.n}")
+    smask = _check_subset(g, S)
     if u == v:
         raise GraphError("u and v must be distinct")
     if smask >> u & 1 or smask >> v & 1:
@@ -52,11 +51,9 @@ def is_separator(g: Graph, S: Iterable[int], u: int, v: int) -> bool:
 def is_minimal_separator(g: Graph, S: Iterable[int]) -> bool:
     """Full-component criterion: S is a minimal separator exactly when at
     least two components of g minus S have S as their whole neighborhood."""
-    smask = mask_of(S)
+    smask = _check_subset(g, S)
     if not smask:
         return False
-    if smask >> g.n:
-        raise GraphError(f"vertex set {sorted(S)} out of range for n={g.n}")
     sub = (1 << g.n) - 1 & ~smask
     full = 0
     for comp in _components_masks(g._adj, sub):
@@ -74,8 +71,8 @@ def crosses(g: Graph, S: Iterable[int], T: Iterable[int]) -> bool:
     cannot witness a crossing. The relation is symmetric on minimal
     separators.
     """
-    smask = mask_of(S)
-    tmask = mask_of(T)
+    smask = _check_subset(g, S)
+    tmask = _check_subset(g, T)
     if not is_minimal_separator(g, bits(smask)) or not is_minimal_separator(
         g, bits(tmask)
     ):

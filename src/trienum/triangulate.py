@@ -17,6 +17,7 @@ from .graph import (
     DisconnectedGraphError,
     Graph,
     GraphError,
+    _check_subset,
     _component,
     _components_masks,
     _mcs,
@@ -62,8 +63,7 @@ def _check_family(
 ) -> ParallelFamily:
     fam = frozenset(frozenset(s) for s in phi)
     for s in fam:
-        if mask_of(s) >> g.n:
-            raise GraphError(f"separator {sorted(s)} out of range for n={g.n}")
+        _check_subset(g, s)
         if verify and not is_minimal_separator(g, s):
             raise GraphError(f"{sorted(s)} is not a minimal separator of the host")
     return fam
@@ -241,9 +241,7 @@ def get_components(c: Graph, S: Iterable[int]) -> list[tuple[Graph, tuple[int, .
     K together with its neighborhood (a subset of S), plus the id map
     back to c. Components are ordered by smallest member.
     """
-    smask = mask_of(S)
-    if smask >> c.n:
-        raise GraphError(f"vertex set {sorted(vertex_set(smask))} out of range for n={c.n}")
+    smask = _check_subset(c, S)
     for v in bits(smask):
         if smask & ~c._adj[v] & ~(1 << v):
             raise GraphError(f"{sorted(vertex_set(smask))} is not a clique")

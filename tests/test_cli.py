@@ -2,6 +2,7 @@ import io
 import json
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from trienum import TreeDecomposition, is_proper, is_tree_decomposition, parse_graph
+from trienum import TreeDecomposition, cli, is_proper, is_tree_decomposition, parse_graph
 from trienum.cli import main
 
 from conftest import random_connected_graph
@@ -97,7 +98,15 @@ class TestCommands:
         assert rec["answer"]["triangulations"] == 14
         assert rec["answer"]["minimal_separators"] == 9
         assert rec["answer"]["extender_calls"] >= 14
-        assert "delay_ms" in rec["answer"]
+        assert set(rec["answer"]) == {
+            "n",
+            "edge_count",
+            "triangulations",
+            "minimal_separators",
+            "extender_calls",
+            "delay_ms",
+        }
+        assert set(rec["answer"]["delay_ms"]) == {"first", "p50", "p90", "p99", "max"}
 
     def test_crossgraph_on_c5(self, tmp_path, capsys):
         path = write_cycle(tmp_path, 5)
@@ -201,6 +210,24 @@ class TestGuardsAndErrors:
         code, _, err = run_cli(capsys, ["minseps", "/nonexistent/graph.col"])
         assert code == 1
         assert "cannot read" in err
+
+    def test_undecodable_file_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"a b\n\xff c\n")
+        code, out, err = run_cli(capsys, ["minseps", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read {path}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"n": true, "edges": []}', '{"n": 3, "edges": [[true, 2]]}', '{"n": 3, "edges": 5}'],
+    )
+    def test_malformed_json_exit_one(self, text, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run_cli(capsys, ["minseps", "--format", "json"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_crossgraph_guard(self, tmp_path, capsys):
         path = write_cycle(tmp_path, 8)
@@ -321,3 +348,82 @@ class TestProcessBoundary:
         proc = spawn_python(["-m", "trienum", "minseps", str(tmp_path / "missing")])
         proc.communicate(timeout=60)
         assert proc.returncode == 1
+
+
+# The expected stdout of every golden case, keyed by case id, was written
+# by the CLI before its commands were folded into one table; the stats
+# records lost their duplicate "nodes_pulled" key afterwards.
+GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
+GOLDEN_INPUTS = {
+    "c6": "".join(f"{i} {(i + 1) % 6}\n" for i in range(6)),
+    # a C4 (component 0) and a C5 (component 1)
+    "two": "a b\nb c\nc d\nd a\np q\nq r\nr s\ns t\nt p\n",
+}
+GOLDEN_MODES = {
+    "c6": [],
+    "two": ["--per-component"],
+    "two-limit1": ["--per-component", "--limit", "1"],
+    "two-limit3": ["--per-component", "--limit", "3"],
+}
+GOLDEN_OUTPUTS = {
+    "minseps": ("jsonl", "plain"),
+    "triangulations": ("jsonl", "plain"),
+    "treedecomps": ("jsonl", "plain", "dot"),
+    "crossgraph": ("jsonl", "plain", "dot"),
+    "stats": ("jsonl", "plain"),
+}
+GOLDEN_CASES = {
+    f"{command}-{output}-{mode}": (
+        GOLDEN_INPUTS[mode.split("-")[0]],
+        [command, "--output", output, *extra]
+        + (["--delay-stats"] if command == "stats" else []),
+    )
+    for command, outputs in GOLDEN_OUTPUTS.items()
+    for output in outputs
+    for mode, extra in GOLDEN_MODES.items()
+}
+
+
+def mask_delays(out):
+    """Replace the timing values of --delay-stats records with 0."""
+    return re.sub(
+        r'"delay_ms": \{[^}]*\}',
+        lambda m: re.sub(r"[-+.e\d]+(?=[,}])", "0", m.group()),
+        out,
+    )
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+    def test_stdout_matches(self, case, capsys, monkeypatch):
+        text, argv = GOLDEN_CASES[case]
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        assert mask_delays(out) == GOLDEN[case]
+
+    def test_no_stale_cases(self):
+        assert sorted(GOLDEN) == sorted(GOLDEN_CASES)
+
+    def test_cli_calls_rebound_names(self, tmp_path, capsys, monkeypatch):
+        # bench/tracing.py rebinds these names in the cli module to time
+        # each layer, so the CLI must look them up when it runs
+        called = []
+        for name in ("enum_min_seps", "enum_min_triangulations", "enum_proper_tds", "crosses"):
+            def wrapper(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+                called.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, wrapper)
+        path = write_cycle(tmp_path, 5)
+        for command in ("minseps", "triangulations", "treedecomps", "crossgraph", "stats"):
+            called.clear()
+            code, _, _ = run_cli(capsys, [command, path, "--format", "dimacs"])
+            assert code == 0
+            assert set(called) == {
+                "minseps": {"enum_min_seps"},
+                "triangulations": {"enum_min_triangulations"},
+                "treedecomps": {"enum_proper_tds"},
+                "crossgraph": {"enum_min_seps", "crosses"},
+                "stats": {"enum_min_triangulations"},
+            }[command]

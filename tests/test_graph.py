@@ -12,12 +12,20 @@ from trienum import (
     NotChordalError,
     clique_tree,
     connected_components,
+    crosses,
+    decompose,
+    extend_family_blackbox,
+    extend_family_separator,
+    get_components,
     induced_subgraph,
     is_chordal,
     is_connected,
+    is_minimal_separator,
+    is_separator,
     max_cliques_chordal,
     neighborhood,
     saturate,
+    saturate_family,
 )
 from trienum.oracle import brute_is_chordal
 from trienum.treedecomp import TreeDecomposition, is_tree_decomposition
@@ -116,6 +124,28 @@ class TestNeighborhood:
     def test_out_of_range_raises(self):
         with pytest.raises(GraphError):
             neighborhood(path_graph(3), {5})
+
+
+# every public function that takes a vertex set checks its range the same way
+VERTEX_SET_CALLS = {
+    "neighborhood": lambda g, s: neighborhood(g, s),
+    "is_separator": lambda g, s: is_separator(g, s, 0, 2),
+    "is_minimal_separator": lambda g, s: is_minimal_separator(g, s),
+    "crosses_first": lambda g, s: crosses(g, s, {1, 3}),
+    "crosses_second": lambda g, s: crosses(g, {1, 3}, s),
+    "saturate_family": lambda g, s: saturate_family(g, [s]),
+    "extend_family_blackbox": lambda g, s: extend_family_blackbox(g, [s]),
+    "extend_family_separator": lambda g, s: extend_family_separator(g, [s]),
+    "decompose": lambda g, s: decompose(g, [s]),
+    "get_components": lambda g, s: get_components(g, s),
+}
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+@pytest.mark.parametrize("name", sorted(VERTEX_SET_CALLS))
+def test_vertex_set_out_of_range(name, bad):
+    with pytest.raises(GraphError, match=f"^vertex {bad} out of range for n=4$"):
+        VERTEX_SET_CALLS[name](cycle_graph(4), [bad])
 
 
 class TestConnectedComponents:

@@ -87,6 +87,20 @@ class TestJson:
         with pytest.raises(ParseError, match="out of range"):
             parse_graph('{"n": 2, "edges": [[0, 2]]}', "json")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"n": true, "edges": []}', '"n" must be'),
+            ('{"n": 3, "edges": [[true, 2]]}', "pair of integers"),
+            ('{"n": 3, "edges": [[0, false]]}', "pair of integers"),
+            ('{"n": 3, "edges": 5}', '"edges" must be a list'),
+            ('{"n": 3, "edges": {"0": 1}}', '"edges" must be a list'),
+        ],
+    )
+    def test_rejects_non_integer_values(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_graph(text, "json")
+
     def test_isolated_vertices_allowed(self):
         g, _ = parse_graph('{"n": 5, "edges": []}', "json")
         assert g.n == 5 and g.edge_count == 0
