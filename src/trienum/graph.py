@@ -231,34 +231,61 @@ def saturate(g: Graph, U: Iterable[int]) -> Graph:
     return Graph._from_masks(adj)
 
 
-def _mcs(adj: Sequence[int], n: int) -> tuple[list[int], set[int]] | None:
-    """Maximum-cardinality search on a graph given by adjacency masks.
+def _is_clique(adj: Sequence[int], mask: int) -> bool:
+    """True iff the vertices of ``mask`` are pairwise adjacent."""
+    rest = mask
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        # pairs with the vertices before b were checked from their side
+        if rest & ~adj[b.bit_length() - 1]:
+            return False
+    return True
 
-    Returns None when the reversed visit order is not a perfect
-    elimination ordering, i.e. the graph is not chordal. Otherwise
-    returns its maximal cliques and its minimal separators, as masks.
+
+def _mcs(adj: Sequence[int], n: int) -> tuple[list[int], set[int]] | None:
+    """Maximum-cardinality search on a graph given by adjacency masks,
+    in one pass that also tests chordality and reads off the cliques.
+
+    Returns None when the graph is not chordal. Otherwise returns its
+    maximal cliques and its minimal separators, as masks. The graph is
+    chordal exactly when each vertex's already-visited neighbors form a
+    clique (the reversed visit order is then a perfect elimination
+    ordering), and that is checked for every vertex as it is visited.
     A new clique starts at each vertex whose count of already-visited
-    neighbors fails to grow; in a connected chordal graph those
-    already-visited neighbors are exactly the minimal separators
-    (Blair & Peyton 1993), so no clique tree is needed to find them.
+    neighbors fails to grow; there the check runs in full, and in a
+    connected chordal graph those neighbors are exactly the minimal
+    separators (Blair & Peyton 1993), so no clique tree is needed to
+    find them. Where the count grows, a chordal graph has the current
+    clique as the vertex's visited neighbors, so the check there is a
+    comparison.
     """
-    order: list[int] = []
-    pos = [0] * n
-    earlier = [0] * n
+    cliques: list[int] = []
+    seps: set[int] = set()
     # buckets[w]: the unvisited vertices with w visited neighbors; the
     # next vertex is the lowest one in the top nonempty bucket
     buckets = [(1 << n) - 1] + [0] * n
     top = 0
-    visited = 0
-    for step in range(n):
+    prev = -1
+    visited = current = 0
+    for _ in range(n):
         while not buckets[top]:
             top -= 1
         b = buckets[top] & -buckets[top]
         buckets[top] ^= b
         v = b.bit_length() - 1
-        order.append(v)
-        pos[v] = step
-        earlier[v] = adj[v] & visited
+        s = adj[v] & visited  # |s| == top
+        if top <= prev:
+            if not _is_clique(adj, s):
+                return None
+            cliques.append(current)
+            current = s
+            if s:
+                seps.add(s)
+        elif s != current:
+            return None
+        current |= b
+        prev = top
         visited |= b
         m = adj[v] & ~visited
         if m:
@@ -271,35 +298,6 @@ def _mcs(adj: Sequence[int], n: int) -> tuple[list[int], set[int]] | None:
                     if not m:
                         break
             top += 1
-    for v in order:
-        s = earlier[v]
-        if not s:
-            continue
-        w = -1
-        w_pos = -1
-        m = s
-        while m:
-            b = m & -m
-            m ^= b
-            u = b.bit_length() - 1
-            if pos[u] > w_pos:
-                w, w_pos = u, pos[u]
-        if s & ~adj[w] & ~(1 << w):
-            return None
-    cliques: list[int] = []
-    seps: set[int] = set()
-    current = 0
-    prev = -1
-    for v in order:
-        s = earlier[v]
-        c = s.bit_count()
-        if c <= prev:
-            cliques.append(current)
-            current = s
-            if s:
-                seps.add(s)
-        current |= 1 << v
-        prev = c
     if n:
         cliques.append(current)
     return cliques, seps

@@ -8,6 +8,7 @@ callers can translate answers back.
 from __future__ import annotations
 
 import json
+import sys
 
 from .graph import Graph
 
@@ -61,6 +62,8 @@ def _parse_dimacs(text: str) -> tuple[Graph, list[str]]:
                 raise ParseError(f"malformed header {line!r}", line_no) from None
             if n < 0:
                 raise ParseError("negative vertex count", line_no)
+            if n > sys.maxsize:
+                raise ParseError("vertex count too large", line_no)
         elif fields[0] == "e":
             if n is None:
                 raise ParseError("edge before problem header", line_no)
@@ -115,11 +118,15 @@ def _parse_json(text: str) -> tuple[Graph, list[str]]:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", exc.lineno) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise ParseError('expected an object with "n" and "edges"')
     n = data["n"]
     if not _is_int(n) or n < 0:
         raise ParseError('"n" must be a nonnegative integer')
+    if n > sys.maxsize:
+        raise ParseError('"n" is too large')
     if not isinstance(data["edges"], list):
         raise ParseError('"edges" must be a list')
     edges: list[tuple[int, int]] = []

@@ -1,18 +1,18 @@
 """Maximal-independent-set enumeration over implicitly represented graphs.
 
-The graph being searched is never materialized: it is described by a
-node iterator, a symmetric adjacency predicate, and a procedure that
-grows any independent set into a maximal one. With those three pieces
+The graph being searched is never materialized: it is described by
+three callbacks: a node iterator, a symmetric adjacency predicate, and
+a procedure that grows any independent set into a maximal one. With them
 the enumerator below produces every maximal independent set exactly
 once, pulling nodes from the iterator only when it has run out of work,
 so the cost of the next answer stays polynomial in the input size plus
 the number of answers already produced.
 
-Nodes are opaque. The engine identifies them through ``node_key`` and
-internally assigns dense indices so that answer sets become integer
-bitmasks; membership bookkeeping is then a handful of int operations
-per step. Because the extender is required to be deterministic, its
-results are memoized on the canonical encoding of its argument.
+Nodes are opaque but must be hashable, with equal nodes meaning the
+same node; the engine assigns each a dense index so that answer sets
+become integer bitmasks, and membership bookkeeping is then a handful
+of int operations per step. Because the extender is required to be
+deterministic, its results are memoized on the bitmask of its argument.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Iterator
+from typing import Any, Callable, Iterator
 
-from .graph import Graph, bits
+from .graph import bits
 
 Node = Any
 NodeSet = frozenset
@@ -44,13 +44,13 @@ class ImplicitGraph:
     adjacent           symmetric, irreflexive edge predicate
     extend_to_max_ind  grows an independent set into a maximal one; must
                        be deterministic and return a superset
-    node_key           injective canonical encoding of a node
+
+    Nodes must be hashable: the engine tells them apart by value.
     """
 
     node_stream: Callable[[], Iterator[Node]]
     adjacent: Callable[[Node, Node], bool]
     extend_to_max_ind: Callable[[NodeSet], NodeSet]
-    node_key: Callable[[Node], Hashable]
 
 
 @dataclass
@@ -89,17 +89,16 @@ def enum_max_independent(
     if stats is None:
         stats = EnumStats()
 
-    key_to_idx: dict[Hashable, int] = {}
+    key_to_idx: dict[Node, int] = {}
     nodes: list[Node] = []
     adj_mask: list[int] = []
     adj_known: list[int] = []
 
     def intern(node: Node) -> int:
-        key = inst.node_key(node)
-        idx = key_to_idx.get(key)
+        idx = key_to_idx.get(node)
         if idx is None:
             idx = len(nodes)
-            key_to_idx[key] = idx
+            key_to_idx[node] = idx
             nodes.append(node)
             adj_mask.append(0)
             adj_known.append(1 << idx)  # irreflexive, so self is known
@@ -129,19 +128,6 @@ def enum_max_independent(
         memo[imask] = kmask
         return kmask
 
-    def extend_in_direction(jmask: int, v: int) -> int:
-        # growing J toward v: keep v plus J's non-neighbors of v, extend
-        stats.extender_calls += 1
-        if hook is not None:
-            hook("extend", stats)
-        if jmask >> v & 1:
-            return jmask  # J already contains v and is maximal
-        imask = (jmask & ~adj_mask[v]) | 1 << v
-        kmask = memo_get(imask)
-        if kmask is None:
-            kmask = compute(imask)
-        return kmask
-
     start = time.perf_counter()
     stats.extender_calls += 1
     if hook is not None:
@@ -150,6 +136,24 @@ def enum_max_independent(
     queue: deque[int] = deque([first])
     queued: set[int] = {first}
     printed: set[int] = set()
+
+    def grow(jmask: int, v: int) -> None:
+        # growing the printed answer J toward v: keep v plus J's
+        # non-neighbors of v, extend, and queue the result if it is new
+        ensure_adjacency(v, jmask)
+        stats.extender_calls += 1
+        if hook is not None:
+            hook("extend", stats)
+        if jmask >> v & 1:
+            return  # J already contains v, is maximal, and is printed
+        imask = (jmask & ~adj_mask[v]) | 1 << v
+        kmask = memo_get(imask)
+        if kmask is None:
+            kmask = compute(imask)
+        if kmask not in queued and kmask not in printed:
+            queued.add(kmask)
+            queue.append(kmask)
+
     printed_list: list[int] = []
     pulled: list[int] = []
     pulled_set: set[int] = set()
@@ -171,11 +175,7 @@ def enum_max_independent(
         printed.add(imask)
         printed_list.append(imask)
         for v in pulled:
-            ensure_adjacency(v, imask)
-            kmask = extend_in_direction(imask, v)
-            if kmask not in queued and kmask not in printed:
-                queued.add(kmask)
-                queue.append(kmask)
+            grow(imask, v)
         while not queue and not exhausted:
             node = next(stream, _SENTINEL)
             if node is _SENTINEL:
@@ -190,32 +190,4 @@ def enum_max_independent(
             if hook is not None:
                 hook("pull", stats)
             for jmask in printed_list:
-                ensure_adjacency(w, jmask)
-                kmask = extend_in_direction(jmask, w)
-                if kmask not in queued and kmask not in printed:
-                    queued.add(kmask)
-                    queue.append(kmask)
-
-
-def explicit_graph_instance(g: Graph) -> ImplicitGraph:
-    """Wrap a materialized Graph as an implicit instance (test adapter).
-
-    Nodes are the vertex ids in order; the extender greedily adds the
-    smallest addable vertex until no vertex can be added.
-    """
-
-    def extend(indep: NodeSet) -> NodeSet:
-        current = set(indep)
-        for v in range(g.n):
-            if v in current:
-                continue
-            if all(not g.has_edge(v, u) for u in current):
-                current.add(v)
-        return frozenset(current)
-
-    return ImplicitGraph(
-        node_stream=lambda: iter(range(g.n)),
-        adjacent=g.has_edge,
-        extend_to_max_ind=extend,
-        node_key=lambda v: v,
-    )
+                grow(jmask, w)

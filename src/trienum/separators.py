@@ -20,6 +20,7 @@ from .graph import (
     _check_subset,
     _component,
     _components_masks,
+    _is_clique,
     _mcs,
     _neighborhood_mask,
     bits,
@@ -152,9 +153,4 @@ def clq_min_seps(g: Graph) -> set[Separator]:
     """Minimal separators of g that are cliques of g."""
     if not is_connected(g):
         raise DisconnectedGraphError("clq_min_seps requires a connected graph")
-    out: set[Separator] = set()
-    for s in enum_min_seps(g):
-        smask = mask_of(s)
-        if all(not smask & ~g._adj[v] & ~(1 << v) for v in s):
-            out.add(s)
-    return out
+    return {s for s in enum_min_seps(g) if _is_clique(g._adj, mask_of(s))}

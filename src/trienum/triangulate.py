@@ -20,6 +20,7 @@ from .graph import (
     _check_subset,
     _component,
     _components_masks,
+    _is_clique,
     _mcs,
     _neighborhood_mask,
     _saturate,
@@ -145,11 +146,7 @@ def triangulate_heuristic(g: Graph) -> Graph:
 def _removable(adj: list[int], u: int, v: int) -> bool:
     # for chordal h with edge uv: h minus uv stays chordal exactly when
     # the common neighborhood of u and v is a clique
-    common = adj[u] & adj[v]
-    for x in bits(common):
-        if common & ~adj[x] & ~(1 << x):
-            return False
-    return True
+    return _is_clique(adj, adj[u] & adj[v])
 
 
 def min_tri_sandwich(g: Graph, g_t: Graph) -> Graph:
@@ -242,9 +239,8 @@ def get_components(c: Graph, S: Iterable[int]) -> list[tuple[Graph, tuple[int, .
     back to c. Components are ordered by smallest member.
     """
     smask = _check_subset(c, S)
-    for v in bits(smask):
-        if smask & ~c._adj[v] & ~(1 << v):
-            raise GraphError(f"{sorted(vertex_set(smask))} is not a clique")
+    if not _is_clique(c._adj, smask):
+        raise GraphError(f"{sorted(vertex_set(smask))} is not a clique")
     return [
         induced_subgraph(c, bits(piece))
         for piece in _split(c._adj, (1 << c.n) - 1, smask)
@@ -374,8 +370,7 @@ def separator_graph_instance(g: Graph, extender: str = "blackbox") -> ImplicitGr
     return ImplicitGraph(
         node_stream=lambda: enum_min_seps(g),
         adjacent=lambda s, t: crosses(g, s, t),
-        extend_to_max_ind=lambda fam: extend(g, frozenset(fam)),
-        node_key=canon,
+        extend_to_max_ind=lambda fam: extend(g, fam),
     )
 
 
@@ -398,6 +393,4 @@ def enum_min_triangulations(
     for family in enum_max_independent(inst, stats=stats, hook=hook):
         h = saturate_family(g, family)
         fill = frozenset(e for e in h.edges() if e not in base_edges)
-        yield Triangulation(
-            base=g, fill_edges=fill, chordal_graph=h, family=frozenset(family)
-        )
+        yield Triangulation(base=g, fill_edges=fill, chordal_graph=h, family=family)

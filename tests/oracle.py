@@ -1,8 +1,9 @@
-"""Brute-force reference implementations for desk-scale validation.
+"""Brute-force reference implementations for desk-scale validation,
+and an adapter that runs the independent-set engine on explicit graphs.
 
 Everything here works straight from the definitions and is deliberately
-independent of the enumeration code paths; only the Graph type is
-shared. Hard size guards raise instead of running forever.
+independent of the enumeration code paths; only the Graph and
+ImplicitGraph types are shared. Hard size guards raise instead of running forever.
 """
 
 from __future__ import annotations
@@ -10,7 +11,8 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from .graph import Graph, VertexSet, bits, mask_of
+from trienum.graph import Graph, VertexSet, bits, mask_of
+from trienum.maxind import ImplicitGraph, NodeSet
 
 MAX_VERTICES = 10
 MAX_NON_EDGES = 21
@@ -182,3 +184,26 @@ def brute_max_independent_sets(g: Graph) -> set[VertexSet]:
         if ok:
             out.add(frozenset(bits(m)))
     return out
+
+
+def explicit_graph_instance(g: Graph) -> ImplicitGraph:
+    """Wrap a materialized Graph as an implicit instance.
+
+    Nodes are the vertex ids in order; the extender greedily adds the
+    smallest addable vertex until no vertex can be added.
+    """
+
+    def extend(indep: NodeSet) -> NodeSet:
+        current = set(indep)
+        for v in range(g.n):
+            if v in current:
+                continue
+            if all(not g.has_edge(v, u) for u in current):
+                current.add(v)
+        return frozenset(current)
+
+    return ImplicitGraph(
+        node_stream=lambda: iter(range(g.n)),
+        adjacent=g.has_edge,
+        extend_to_max_ind=extend,
+    )

@@ -24,7 +24,6 @@ from trienum import (
     enum_min_seps,
     enum_min_triangulations,
     enum_proper_tds,
-    explicit_graph_instance,
     extend_family_blackbox,
     extend_family_separator,
     extract_min_seps_chordal,
@@ -35,17 +34,18 @@ from trienum import (
     max_cliques_chordal,
 )
 from trienum.cli import main
-from trienum.oracle import (
-    MAX_NON_EDGES,
-    brute_max_independent_sets,
-    brute_min_seps,
-    brute_min_triangulations,
-)
 
 from conftest import (
     all_connected_graphs,
     cycle_graph,
     random_connected_graph,
+)
+from oracle import (
+    MAX_NON_EDGES,
+    brute_max_independent_sets,
+    brute_min_seps,
+    brute_min_triangulations,
+    explicit_graph_instance,
 )
 
 CORPUS_SEED = 20240810

@@ -221,7 +221,13 @@ class TestGuardsAndErrors:
 
     @pytest.mark.parametrize(
         "text",
-        ['{"n": true, "edges": []}', '{"n": 3, "edges": [[true, 2]]}', '{"n": 3, "edges": 5}'],
+        [
+            '{"n": true, "edges": []}',
+            '{"n": 3, "edges": [[true, 2]]}',
+            '{"n": 3, "edges": 5}',
+            '{"n": 10000000000000000000, "edges": []}',
+            pytest.param("[" * 100000, id="nested-100000-deep"),
+        ],
     )
     def test_malformed_json_exit_one(self, text, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(text))

@@ -16,6 +16,7 @@ from trienum import (
     decompose,
     extend_family_blackbox,
     extend_family_separator,
+    extract_min_seps_chordal,
     get_components,
     induced_subgraph,
     is_chordal,
@@ -27,7 +28,6 @@ from trienum import (
     saturate,
     saturate_family,
 )
-from trienum.oracle import brute_is_chordal
 from trienum.treedecomp import TreeDecomposition, is_tree_decomposition
 
 from conftest import (
@@ -37,6 +37,7 @@ from conftest import (
     path_graph,
     random_connected_graph,
 )
+from oracle import brute_is_chordal, brute_min_seps
 
 
 @st.composite
@@ -257,14 +258,20 @@ class TestMaxCliques:
         from trienum import triangulate_heuristic
 
         rng = random.Random(97)
+        graphs = [g for n in range(6) for g in all_graphs(n) if brute_is_chordal(g)]
         for _ in range(120):
             n = rng.randint(1, 7)
-            h = triangulate_heuristic(
-                random_connected_graph(n, rng.choice([0.3, 0.5, 0.7]), rng)
+            graphs.append(
+                triangulate_heuristic(
+                    random_connected_graph(n, rng.choice([0.3, 0.5, 0.7]), rng)
+                )
             )
+        for h in graphs:
             got = set(max_cliques_chordal(h))
             assert got == _brute_max_cliques(h)
             assert len(got) <= h.n  # at most one maximal clique per vertex
+            if h.n and is_connected(h):
+                assert extract_min_seps_chordal(h) == brute_min_seps(h)
 
 
 class TestCliqueTree:

@@ -37,6 +37,10 @@ class TestDimacs:
         with pytest.raises(ParseError, match="header"):
             parse_graph("e 1 2\n", "dimacs")
 
+    def test_vertex_count_beyond_maxsize(self):
+        with pytest.raises(ParseError, match="line 1.*too large"):
+            parse_graph("p edge 10000000000000000000 0\n", "dimacs")
+
     def test_unknown_line(self):
         with pytest.raises(ParseError, match="unrecognized"):
             parse_graph("p edge 2 1\nq 1 2\n", "dimacs")

@@ -3,15 +3,15 @@ import itertools
 import pytest
 
 from trienum import Graph, is_connected
-from trienum.oracle import (
+
+from conftest import all_connected_graphs, complete_graph, cycle_graph, path_graph
+from oracle import (
     OracleSizeError,
     brute_is_chordal,
     brute_max_independent_sets,
     brute_min_seps,
     brute_min_triangulations,
 )
-
-from conftest import all_connected_graphs, complete_graph, cycle_graph, path_graph
 
 
 def _reachable(g, start, avoid):

@@ -20,7 +20,6 @@ from trienum import (
     neighborhood,
     triangulate_heuristic,
 )
-from trienum.oracle import brute_min_seps
 
 from conftest import (
     all_connected_graphs,
@@ -29,6 +28,7 @@ from conftest import (
     path_graph,
     random_connected_graph,
 )
+from oracle import brute_min_seps
 
 
 class TestIsSeparator:

@@ -27,7 +27,6 @@ from trienum import (
     triangulate_heuristic,
 )
 from trienum.graph import _max_spanning_tree
-from trienum.oracle import brute_min_triangulations
 
 from conftest import (
     all_connected_graphs,
@@ -37,6 +36,7 @@ from conftest import (
     random_connected_graph,
     star_graph,
 )
+from oracle import brute_min_triangulations
 
 
 def _td(g, bags, edges):

@@ -14,7 +14,6 @@ from trienum import (
     enum_max_independent,
     enum_min_seps,
     enum_min_triangulations,
-    explicit_graph_instance,
     extend_family_blackbox,
     extend_family_separator,
     extract_min_seps_chordal,
@@ -27,7 +26,6 @@ from trienum import (
     separator_graph_instance,
     triangulate_heuristic,
 )
-from trienum.oracle import brute_min_seps, brute_min_triangulations
 
 from conftest import (
     all_connected_graphs,
@@ -36,6 +34,7 @@ from conftest import (
     path_graph,
     random_connected_graph,
 )
+from oracle import brute_min_seps, brute_min_triangulations, explicit_graph_instance
 
 EXTENDERS = (extend_family_blackbox, extend_family_separator)
 
