@@ -153,37 +153,37 @@ def _check_subset(g: Graph, U: Iterable[int]) -> int:
     return m
 
 
-def _component(adj: Sequence[int], sub: int, seed: int) -> int:
+def _component(adj: Sequence[int], sub: int, seed: int) -> tuple[int, int]:
     """The component of the subgraph induced on ``sub`` that holds the
-    vertices of the mask ``seed``."""
+    vertices of the mask ``seed``, and its boundary N(comp).
+
+    One walk yields both: expanding each frontier ORs its vertices'
+    adjacency masks, and that union minus the component is the boundary.
+    Every neighbor inside ``sub`` joins the component, so the boundary
+    is disjoint from ``sub``.
+    """
     comp = frontier = seed
+    reach = 0
     while frontier:
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= adj[v]
-        nxt &= sub & ~comp
-        comp |= nxt
-        frontier = nxt
-    return comp
+        while frontier:
+            b = frontier & -frontier
+            reach |= adj[b.bit_length() - 1]
+            frontier ^= b
+        frontier = reach & sub & ~comp
+        comp |= frontier
+    return comp, reach & ~comp
 
 
-def _components_masks(adj: Sequence[int], sub: int) -> list[int]:
-    """Connected components of the subgraph induced on ``sub``, as masks,
-    ordered by smallest member."""
-    comps = []
+def _components_masks(adj: Sequence[int], sub: int) -> list[tuple[int, int]]:
+    """The (component, boundary) masks of every connected component of the
+    subgraph induced on ``sub``, ordered by smallest member."""
+    out = []
     remaining = sub
     while remaining:
-        comp = _component(adj, sub, remaining & -remaining)
-        comps.append(comp)
+        comp, nb = _component(adj, sub, remaining & -remaining)
+        out.append((comp, nb))
         remaining &= ~comp
-    return comps
-
-
-def _neighborhood_mask(adj: Sequence[int], umask: int) -> int:
-    m = 0
-    for v in bits(umask):
-        m |= adj[v]
-    return m & ~umask
+    return out
 
 
 def induced_subgraph(g: Graph, U: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -205,17 +205,20 @@ def induced_subgraph(g: Graph, U: Iterable[int]) -> tuple[Graph, tuple[int, ...]
 def neighborhood(g: Graph, U: Iterable[int]) -> VertexSet:
     """Every vertex outside U adjacent to some member of U."""
     umask = _check_subset(g, U)
-    return vertex_set(_neighborhood_mask(g._adj, umask))
+    nb = 0
+    for v in bits(umask):
+        nb |= g._adj[v]
+    return vertex_set(nb & ~umask)
 
 
 def connected_components(g: Graph) -> list[VertexSet]:
     full = (1 << g.n) - 1
-    return [vertex_set(m) for m in _components_masks(g._adj, full)]
+    return [vertex_set(comp) for comp, _ in _components_masks(g._adj, full)]
 
 
 def is_connected(g: Graph) -> bool:
     full = (1 << g.n) - 1
-    return _component(g._adj, full, full & 1) == full
+    return _component(g._adj, full, full & 1)[0] == full
 
 
 def _saturate(adj: list[int], smask: int) -> None:

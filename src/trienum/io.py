@@ -56,12 +56,13 @@ def _parse_dimacs(text: str) -> tuple[Graph, list[str]]:
             if len(fields) != 4 or fields[1] != "edge":
                 raise ParseError(f"malformed header {line!r}", line_no)
             try:
-                n = int(fields[2])
-                int(fields[3])
+                n, m = int(fields[2]), int(fields[3])
             except ValueError:
                 raise ParseError(f"malformed header {line!r}", line_no) from None
             if n < 0:
                 raise ParseError("negative vertex count", line_no)
+            if m < 0:
+                raise ParseError("negative edge count", line_no)
             if n > sys.maxsize:
                 raise ParseError("vertex count too large", line_no)
         elif fields[0] == "e":

@@ -1,9 +1,10 @@
 """Minimal vertex separators: predicates, the crossing relation, and a
 polynomial-delay enumerator.
 
-A separator is represented as a plain ``frozenset`` of vertex ids; its
-canonical encoding for ordering and deduplication is the ascending
-tuple of members.
+A separator is represented as a plain ``frozenset`` of vertex ids. Its
+canonical encoding, the ascending tuple of members, fixes the order in
+which a family is split along. Deduplication is by value: the stream
+keys its seen set by mask, and the engine interns the frozensets.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .graph import (
     _components_masks,
     _is_clique,
     _mcs,
-    _neighborhood_mask,
     bits,
     is_connected,
     mask_of,
@@ -46,7 +46,7 @@ def is_separator(g: Graph, S: Iterable[int], u: int, v: int) -> bool:
         raise GraphError("u and v must be distinct")
     if smask >> u & 1 or smask >> v & 1:
         raise GraphError("u and v must not belong to S")
-    return not _component(g._adj, (1 << g.n) - 1 & ~smask, 1 << u) >> v & 1
+    return not _component(g._adj, (1 << g.n) - 1 & ~smask, 1 << u)[0] >> v & 1
 
 
 def is_minimal_separator(g: Graph, S: Iterable[int]) -> bool:
@@ -57,8 +57,8 @@ def is_minimal_separator(g: Graph, S: Iterable[int]) -> bool:
         return False
     sub = (1 << g.n) - 1 & ~smask
     full = 0
-    for comp in _components_masks(g._adj, sub):
-        if _neighborhood_mask(g._adj, comp) == smask:
+    for _comp, nb in _components_masks(g._adj, sub):
+        if nb == smask:
             full += 1
             if full == 2:
                 return True
@@ -83,7 +83,7 @@ def crosses(g: Graph, S: Iterable[int], T: Iterable[int]) -> bool:
         return False
     sub = (1 << g.n) - 1 & ~smask
     hits = 0
-    for comp in _components_masks(g._adj, sub):
+    for comp, _nb in _components_masks(g._adj, sub):
         if comp & rest:
             hits += 1
             if hits == 2:
@@ -96,9 +96,10 @@ def enum_min_seps(g: Graph) -> Iterator[Separator]:
 
     Seeds with the component neighborhoods of g minus each closed vertex
     neighborhood, then closes under: for a produced S and each x in S,
-    add the component neighborhoods of g minus (S union N(x)). The work
-    queue is FIFO with seeds inserted in vertex-id order, so the output
-    order is deterministic.
+    add the component neighborhoods of g minus (S union N(x)). One walk
+    of each component yields both the component and its neighborhood.
+    The work queue is FIFO with seeds inserted in vertex-id order, so
+    the output order is deterministic.
     """
     if g.n < 1:
         raise GraphError("enum_min_seps requires at least one vertex")
@@ -110,8 +111,7 @@ def enum_min_seps(g: Graph) -> Iterator[Separator]:
     queue: deque[int] = deque()
 
     def push_from(removed: int) -> None:
-        for comp in _components_masks(adj, full & ~removed):
-            nb = _neighborhood_mask(adj, comp)
+        for _comp, nb in _components_masks(adj, full & ~removed):
             if nb and nb not in seen:
                 seen.add(nb)
                 queue.append(nb)
@@ -133,8 +133,7 @@ def find_min_sep(c: Graph, u: int, v: int) -> Separator:
         raise GraphError("u and v must be distinct")
     if c._adj[u] >> v & 1:
         raise GraphError(f"vertices {u} and {v} are adjacent")
-    comp = _component(c._adj, (1 << c.n) - 1 & ~c._adj[u], 1 << v)
-    return vertex_set(_neighborhood_mask(c._adj, comp))
+    return vertex_set(_component(c._adj, (1 << c.n) - 1 & ~c._adj[u], 1 << v)[1])
 
 
 def extract_min_seps_chordal(h: Graph) -> set[Separator]:

@@ -73,7 +73,7 @@ def _check_tree(d: TreeDecomposition) -> list[int]:
     if len(d.edges) != k - 1:
         raise GraphError("bag graph is not a tree")
     # k-1 edges without duplicates: connected iff acyclic
-    if _component(adj, (1 << k) - 1, 1) != (1 << k) - 1:
+    if _component(adj, (1 << k) - 1, 1)[0] != (1 << k) - 1:
         raise GraphError("bag graph is not connected")
     return adj
 
@@ -94,7 +94,7 @@ def is_tree_decomposition(g: Graph, d: TreeDecomposition) -> bool:
             return False
     for v in range(g.n):
         holders = mask_of(i for i, b in enumerate(d.bags) if v in b)
-        if _component(adj, holders, holders & -holders) != holders:
+        if _component(adj, holders, holders & -holders)[0] != holders:
             return False
     return True
 
@@ -200,7 +200,7 @@ def _spanning_trees(
                 comp[v] = mb
             taken.pop()
             shift(a, b, -1)
-            if _component(adj, full, 1 << a) >> b & 1:
+            if _component(adj, full, 1 << a)[0] >> b & 1:
                 stack.append((p, 0, 0))
                 p += 1
                 break

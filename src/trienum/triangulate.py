@@ -22,7 +22,6 @@ from .graph import (
     _components_masks,
     _is_clique,
     _mcs,
-    _neighborhood_mask,
     _saturate,
     bits,
     induced_subgraph,
@@ -226,8 +225,7 @@ def _split(adj: list[int], piece: int, smask: int) -> list[int]:
     """The pieces ``comp | (N(comp) & piece)`` for every component comp of
     piece minus the clique smask, ordered by smallest member."""
     return [
-        comp | (_neighborhood_mask(adj, comp) & piece)
-        for comp in _components_masks(adj, piece & ~smask)
+        comp | (nb & piece) for comp, nb in _components_masks(adj, piece & ~smask)
     ]
 
 
@@ -324,8 +322,7 @@ def _choose_min_sep(adj: list[int], piece: int) -> int:
     for u in bits(piece):
         above = (piece & ~adj[u]) >> (u + 1) << (u + 1)
         if above:
-            comp = _component(adj, piece & ~adj[u], above & -above)
-            return _neighborhood_mask(adj, comp) & piece
+            return _component(adj, piece & ~adj[u], above & -above)[1] & piece
     return 0
 
 

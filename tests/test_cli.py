@@ -235,6 +235,12 @@ class TestGuardsAndErrors:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_negative_dimacs_edge_count_exit_one(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("p edge 3 -5\ne 1 2\ne 2 3\n"))
+        code, out, err = run_cli(capsys, ["minseps", "--format", "dimacs"])
+        assert (code, out) == (1, "")
+        assert err == "error: line 1: negative edge count\n"
+
     def test_crossgraph_guard(self, tmp_path, capsys):
         path = write_cycle(tmp_path, 8)
         code, _, err = run_cli(

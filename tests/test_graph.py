@@ -28,6 +28,7 @@ from trienum import (
     saturate,
     saturate_family,
 )
+from trienum.graph import _components_masks
 from trienum.treedecomp import TreeDecomposition, is_tree_decomposition
 
 from conftest import (
@@ -168,6 +169,84 @@ class TestConnectedComponents:
     def test_is_connected(self):
         assert is_connected(path_graph(5))
         assert not is_connected(Graph(2))
+
+
+def _two_pass_components(g, sub):
+    """Reference for ``_components_masks``: a vertex-list flood fill per
+    component, then a second walk over its members for the boundary."""
+    members = [v for v in range(g.n) if sub >> v & 1]
+    out = []
+    placed = set()
+    for seed in members:
+        if seed in placed:
+            continue
+        comp = {seed}
+        stack = [seed]
+        while stack:
+            for w in g.neighbors(stack.pop()):
+                if sub >> w & 1 and w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        placed |= comp
+        boundary = set().union(*(g.neighbors(v) for v in comp)) - comp
+        out.append((sum(1 << v for v in comp), sum(1 << v for v in boundary)))
+    return out
+
+
+@st.composite
+def graphs_with_subsets(draw):
+    n = draw(st.integers(min_value=0, max_value=9))
+    slots = list(itertools.combinations(range(n), 2))
+    g = Graph(n, [e for e in slots if draw(st.booleans())])
+    full = (1 << n) - 1
+    sub = draw(st.sampled_from([0, full]) | st.integers(min_value=0, max_value=full))
+    return g, sub
+
+
+class TestComponentsMasks:
+    def check(self, g, sub):
+        pairs = _components_masks(g._adj, sub)
+        assert pairs == _two_pass_components(g, sub)
+        comps = [comp for comp, _ in pairs]
+        # a partition of sub, ordered by smallest member
+        assert sum(comps) == sub and all(c for c in comps)
+        assert all(not a & b for a, b in itertools.combinations(comps, 2))
+        lows = [c & -c for c in comps]
+        assert lows == sorted(lows)
+        for comp, boundary in pairs:
+            members = [v for v in range(g.n) if comp >> v & 1]
+            assert is_connected(induced_subgraph(g, members)[0])
+            union = 0
+            for v in members:
+                union |= g.neighbors_mask(v)
+            assert boundary == union & ~comp
+            assert not boundary & sub
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs_with_subsets())
+    def test_matches_two_pass_reference(self, case):
+        self.check(*case)
+
+    def test_empty_graph(self):
+        assert _components_masks(Graph(0)._adj, 0) == []
+
+    def test_empty_subset(self):
+        assert _components_masks(cycle_graph(5)._adj, 0) == []
+
+    def test_all_vertices_have_empty_boundary(self):
+        g = path_graph(4)
+        assert _components_masks(g._adj, 0b1111) == [(0b1111, 0)]
+        self.check(Graph(5, [(0, 1), (3, 4)]), 0b11111)
+
+    def test_isolated_vertices(self):
+        g = Graph(5, [(1, 2)])
+        assert _components_masks(g._adj, 0b11101) == [
+            (0b00001, 0),
+            (0b00100, 0b00010),
+            (0b01000, 0),
+            (0b10000, 0),
+        ]
+        self.check(g, 0b11101)
 
 
 class TestSaturate:

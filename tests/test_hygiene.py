@@ -1,0 +1,61 @@
+"""Static checks on the package source: no dead imports, no dead helpers.
+
+Both scans read ``src/trienum/*.py`` with ``ast``; nothing is imported.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "trienum"
+
+
+def _modules():
+    return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _loaded_names(tree):
+    """How often the tree reads each identifier, as a bare name or an
+    attribute."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+    return names
+
+
+def test_sources_found():
+    assert {"graph.py", "separators.py", "triangulate.py"} <= set(_modules())
+
+
+def test_no_unused_package_imports():
+    unused = []
+    for name, tree in _modules().items():
+        if name == "__init__.py":  # re-exports
+            continue
+        used = _loaded_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for alias in node.names:
+                    bound = alias.asname or alias.name
+                    if bound not in used:
+                        unused.append(f"{name}: {bound} from .{node.module}")
+    assert unused == []
+
+
+def test_no_unreferenced_private_functions():
+    modules = _modules()
+    used = sum(map(_loaded_names, modules.values()), Counter())
+    dead = [
+        f"{name}: {node.name}"
+        for name, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        # reads inside its own body (recursion) do not count
+        and used[node.name] == _loaded_names(node)[node.name]
+    ]
+    assert dead == []

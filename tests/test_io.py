@@ -37,6 +37,14 @@ class TestDimacs:
         with pytest.raises(ParseError, match="header"):
             parse_graph("e 1 2\n", "dimacs")
 
+    def test_negative_edge_count(self):
+        with pytest.raises(ParseError, match="^line 1: negative edge count$"):
+            parse_graph("p edge 3 -5\ne 1 2\ne 2 3\n", "dimacs")
+
+    def test_edge_count_not_checked_against_edge_lines(self):
+        g, _ = parse_graph("p edge 3 7\ne 1 2\ne 2 3\n", "dimacs")
+        assert g.edges() == [(0, 1), (1, 2)]
+
     def test_vertex_count_beyond_maxsize(self):
         with pytest.raises(ParseError, match="line 1.*too large"):
             parse_graph("p edge 10000000000000000000 0\n", "dimacs")
