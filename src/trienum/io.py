@@ -31,12 +31,15 @@ def _add_edge(
     u: int,
     v: int,
     line: int | None,
+    shown: tuple[object, object],
 ) -> None:
+    """Add the edge between ids u and v; errors name the endpoints as
+    ``shown``, the way the input wrote them."""
     if u == v:
-        raise ParseError(f"self-loop at vertex {u}", line)
+        raise ParseError(f"self-loop at vertex {shown[0]}", line)
     key = (min(u, v), max(u, v))
     if key in seen:
-        raise ParseError(f"duplicate edge ({u}, {v})", line)
+        raise ParseError(f"duplicate edge ({shown[0]}, {shown[1]})", line)
     seen.add(key)
     edges.append(key)
 
@@ -76,7 +79,7 @@ def _parse_dimacs(text: str) -> tuple[Graph, list[str]]:
                 raise ParseError(f"malformed edge line {line!r}", line_no) from None
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ParseError(f"endpoint out of range in ({u}, {v})", line_no)
-            _add_edge(edges, seen, u - 1, v - 1, line_no)
+            _add_edge(edges, seen, u - 1, v - 1, line_no, (u, v))
         else:
             raise ParseError(f"unrecognized line {line!r}", line_no)
     if n is None:
@@ -103,7 +106,8 @@ def _parse_edgelist(text: str) -> tuple[Graph, list[str]]:
         tokens = line.split()
         if len(tokens) != 2:
             raise ParseError(f"expected two labels, got {line!r}", line_no)
-        _add_edge(edges, seen, intern(tokens[0]), intern(tokens[1]), line_no)
+        a, b = tokens
+        _add_edge(edges, seen, intern(a), intern(b), line_no, (a, b))
     if not labels:
         raise ParseError("empty input")
     return Graph(len(labels), edges), labels
@@ -138,7 +142,7 @@ def _parse_json(text: str) -> tuple[Graph, list[str]]:
         u, v = pair
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"edge #{pos} endpoint out of range in ({u}, {v})")
-        _add_edge(edges, seen, u, v, None)
+        _add_edge(edges, seen, u, v, None, (u, v))
     return Graph(n, edges), [str(i) for i in range(n)]
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
 from .graph import (
@@ -87,10 +88,33 @@ def _minfill_masks(adj: list[int], n: int) -> list[tuple[int, int]]:
 
     Mutates ``adj`` into a chordal supergraph and returns the added
     edges, sorted. Ties on fill count break toward the smallest id.
+
+    Runs in two phases that add exactly the edges of the plain rescan.
+    First it peels: every vertex that repeated simplicial elimination
+    can remove goes, with no edge added. This is what min-fill does
+    before its first step with positive fill, because it takes a
+    fill-0 (simplicial) vertex whenever one exists, and a simplicial
+    vertex stays simplicial as others go, so any peeling order removes
+    the same set (Rose, Tarjan & Lueker 1976). A chordal graph is
+    peeled empty. The rest runs the min-fill loop with each vertex's
+    fill count cached; a count is recomputed only when the vertex's
+    live neighborhood lost a vertex or gained an edge since it was
+    counted.
     """
     alive = (1 << n) - 1
+    todo = alive
+    while todo:
+        b = todo & -todo
+        todo ^= b
+        nb = adj[b.bit_length() - 1] & alive
+        if _is_clique(adj, nb):
+            alive ^= b
+            # removing b can only make its neighbors simplicial
+            todo |= nb
     added: list[tuple[int, int]] = []
-    for _ in range(n):
+    fills = [0] * n
+    dirty = alive
+    while alive:
         best = -1
         best_fill = -1
         m = alive
@@ -98,18 +122,24 @@ def _minfill_masks(adj: list[int], n: int) -> list[tuple[int, int]]:
             b = m & -m
             v = b.bit_length() - 1
             m ^= b
-            nb = adj[v] & alive
-            fill = 0
-            mm = nb
-            while mm:
-                bb = mm & -mm
-                mm ^= bb
-                fill += (nb & ~adj[bb.bit_length() - 1] & ~bb).bit_count()
+            if dirty & b:
+                dirty ^= b
+                nb = adj[v] & alive
+                fill = 0
+                mm = nb
+                while mm:
+                    bb = mm & -mm
+                    mm ^= bb
+                    fill += (nb & ~adj[bb.bit_length() - 1] & ~bb).bit_count()
+                fills[v] = fill
+            else:
+                fill = fills[v]
             if best_fill < 0 or fill < best_fill:
                 best, best_fill = v, fill
                 if fill == 0:
                     break  # scanning ascending, so this is the smallest id
         nb = adj[best] & alive
+        dirty |= nb
         mm = nb
         while mm:
             bb = mm & -mm
@@ -124,7 +154,11 @@ def _minfill_masks(adj: list[int], n: int) -> list[tuple[int, int]]:
                 while m2:
                     b2 = m2 & -m2
                     m2 ^= b2
-                    added.append((u, b2.bit_length() - 1))
+                    w = b2.bit_length() - 1
+                    added.append((u, w))
+                    # the new edge uw closes a missing pair in the
+                    # neighborhood of every common neighbor of u and w
+                    dirty |= adj[u] & adj[w]
         alive ^= 1 << best
     added.sort()
     return added
@@ -135,7 +169,11 @@ def triangulate_heuristic(g: Graph) -> Graph:
 
     At each step the vertex whose elimination adds the fewest edges is
     removed, ties broken by smallest id; its remaining neighborhood is
-    saturated. Chordal inputs come back unchanged.
+    saturated. Chordal inputs come back unchanged: the simplicial
+    vertices are peeled first, which is what min-fill would remove
+    before any step that adds an edge, and a chordal graph is peeled
+    empty. After the peel, only the fill counts that an elimination
+    changed are recounted.
     """
     adj = list(g._adj)
     _minfill_masks(adj, g.n)
@@ -214,11 +252,18 @@ def extend_family_blackbox(g: Graph, phi: Iterable[Iterable[int]]) -> ParallelFa
 
     Saturates the family, triangulates the result, reduces to a minimal
     triangulation h, and returns MinSep(h), which contains the input
-    family and is maximal pairwise-parallel in g.
+    family and is maximal pairwise-parallel in g. A family with two
+    crossing members raises GraphError.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("extend_family_blackbox requires a connected graph")
-    return _extend_blackbox(g, _check_family(g, phi))
+    fam = _check_family(g, phi)
+    for s, t in combinations(sorted(fam, key=canon), 2):
+        if crosses(g, s, t):
+            raise GraphError(
+                f"separators {sorted(s)} and {sorted(t)} cross; family is not valid"
+            )
+    return _extend_blackbox(g, fam)
 
 
 def _split(adj: list[int], piece: int, smask: int) -> list[int]:

@@ -186,6 +186,56 @@ def brute_max_independent_sets(g: Graph) -> set[VertexSet]:
     return out
 
 
+def rescan_minfill_masks(adj: list[int], n: int) -> list[tuple[int, int]]:
+    """Min-fill elimination on adjacency masks, in place, recounting
+    every live vertex's fill at every step: the reference for
+    ``trienum.triangulate._minfill_masks``.
+
+    Mutates ``adj`` into a chordal supergraph and returns the added
+    edges, sorted. Ties on fill count break toward the smallest id.
+    """
+    alive = (1 << n) - 1
+    added: list[tuple[int, int]] = []
+    for _ in range(n):
+        best = -1
+        best_fill = -1
+        m = alive
+        while m:
+            b = m & -m
+            v = b.bit_length() - 1
+            m ^= b
+            nb = adj[v] & alive
+            fill = 0
+            mm = nb
+            while mm:
+                bb = mm & -mm
+                mm ^= bb
+                fill += (nb & ~adj[bb.bit_length() - 1] & ~bb).bit_count()
+            if best_fill < 0 or fill < best_fill:
+                best, best_fill = v, fill
+                if fill == 0:
+                    break  # scanning ascending, so this is the smallest id
+        nb = adj[best] & alive
+        mm = nb
+        while mm:
+            bb = mm & -mm
+            u = bb.bit_length() - 1
+            mm ^= bb
+            missing = nb & ~adj[u] & ~bb
+            if missing:
+                # each pair is seen from both endpoints, which keeps the
+                # masks symmetric; record it from the smaller one
+                adj[u] |= missing
+                m2 = missing >> (u + 1) << (u + 1)
+                while m2:
+                    b2 = m2 & -m2
+                    m2 ^= b2
+                    added.append((u, b2.bit_length() - 1))
+        alive ^= 1 << best
+    added.sort()
+    return added
+
+
 def explicit_graph_instance(g: Graph) -> ImplicitGraph:
     """Wrap a materialized Graph as an implicit instance.
 

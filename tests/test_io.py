@@ -25,6 +25,12 @@ class TestDimacs:
         with pytest.raises(ParseError, match="line 3.*duplicate"):
             parse_graph("p edge 2 2\ne 1 2\ne 2 1\n", "dimacs")
 
+    def test_errors_name_the_input_ids(self):
+        with pytest.raises(ParseError, match=r"^line 2: self-loop at vertex 3$"):
+            parse_graph("p edge 3 1\ne 3 3\n", "dimacs")
+        with pytest.raises(ParseError, match=r"^line 3: duplicate edge \(2, 1\)$"):
+            parse_graph("p edge 2 2\ne 1 2\ne 2 1\n", "dimacs")
+
     def test_out_of_range(self):
         with pytest.raises(ParseError, match="out of range"):
             parse_graph("p edge 2 1\ne 1 5\n", "dimacs")
@@ -72,6 +78,12 @@ class TestEdgelist:
         with pytest.raises(ParseError, match="line 2.*duplicate"):
             parse_graph("a b\nb a\n", "edgelist")
 
+    def test_errors_name_the_input_labels(self):
+        with pytest.raises(ParseError, match=r"^line 2: self-loop at vertex q$"):
+            parse_graph("x y\nq q\n", "edgelist")
+        with pytest.raises(ParseError, match=r"^line 2: duplicate edge \(y, x\)$"):
+            parse_graph("x y\ny x\n", "edgelist")
+
     def test_wrong_token_count(self):
         with pytest.raises(ParseError, match="two labels"):
             parse_graph("a b c\n", "edgelist")
@@ -98,6 +110,12 @@ class TestJson:
     def test_out_of_range(self):
         with pytest.raises(ParseError, match="out of range"):
             parse_graph('{"n": 2, "edges": [[0, 2]]}', "json")
+
+    def test_errors_name_the_input_ids(self):
+        with pytest.raises(ParseError, match=r"^self-loop at vertex 2$"):
+            parse_graph('{"n": 3, "edges": [[2, 2]]}', "json")
+        with pytest.raises(ParseError, match=r"^duplicate edge \(1, 0\)$"):
+            parse_graph('{"n": 2, "edges": [[0, 1], [1, 0]]}', "json")
 
     @pytest.mark.parametrize(
         "text, message",

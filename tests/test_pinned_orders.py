@@ -3,7 +3,7 @@
 Each test hashes an answer stream, in the order it comes out, and
 compares it with a digest recorded from an earlier implementation.
 Reruns of one build agree by construction; these pin the order across
-changes to the component sweep, the split and the extenders.
+changes to the component sweep, the split, min-fill and the extenders.
 """
 
 import hashlib
@@ -12,15 +12,18 @@ import random
 from itertools import islice
 
 from trienum import (
+    Graph,
     crosses,
     decompose,
     enum_min_seps,
+    enum_min_triangulations,
+    enum_proper_tds,
     extend_family_blackbox,
     extend_family_separator,
     find_min_sep,
 )
 
-from conftest import random_connected_graph
+from conftest import cycle_graph, random_connected_graph
 
 
 def _digest(rows):
@@ -74,6 +77,25 @@ def _extender_rows():
     return rows
 
 
+def _ladder(k):
+    """The 2 x k grid: top row 0..k-1, bottom row k..2k-1."""
+    rows = [(i, i + 1) for i in range(k - 1)] + [(k + i, k + i + 1) for i in range(k - 1)]
+    return Graph(2 * k, rows + [(i, k + i) for i in range(k)])
+
+
+def _triangulation_rows(g, limit):
+    return [
+        tuple(sorted(t.fill_edges))
+        for t in islice(enum_min_triangulations(g), limit)
+    ]
+
+
+def _treedecomp_rows(g):
+    return [
+        (tuple(tuple(sorted(b)) for b in d.bags), d.edges) for d in enum_proper_tds(g)
+    ]
+
+
 def test_separator_stream_order():
     rows = _separator_stream_rows()
     assert len(rows) == 5000
@@ -94,4 +116,28 @@ def test_decompose_pieces_and_extender_results():
     rows = _extender_rows()
     assert _digest(rows) == (
         "a3b12f5b813566635a8f138ac9a681889847794afb184719c34c9443016ae6ac"
+    )
+
+
+def test_random_graph_triangulation_prefix():
+    rows = _triangulation_rows(random_connected_graph(30, 0.2, random.Random(1)), 300)
+    assert len(rows) == 300
+    assert _digest(rows) == (
+        "0da31c55f437e92cbc49c78fa8cc0ec274140ca4edac9005fe19cb1f3fb63ef7"
+    )
+
+
+def test_c11_triangulation_prefix():
+    rows = _triangulation_rows(cycle_graph(11), 1000)
+    assert len(rows) == 1000
+    assert _digest(rows) == (
+        "8f2b1c39e08d7bbdfccc9ebf77964265ba9bdd06a53e8303c419547b4908974f"
+    )
+
+
+def test_ladder_tree_decompositions():
+    rows = _treedecomp_rows(_ladder(12))
+    assert len(rows) == 2048
+    assert _digest(rows) == (
+        "1f5f933ff0a658268b1dc36b51f88d3fe3869e95233fc8b8d6f05373cb186985"
     )

@@ -1,7 +1,10 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trienum import (
     DisconnectedGraphError,
@@ -26,6 +29,7 @@ from trienum import (
     separator_graph_instance,
     triangulate_heuristic,
 )
+from trienum.triangulate import _minfill_masks, _saturated
 
 from conftest import (
     all_connected_graphs,
@@ -34,7 +38,12 @@ from conftest import (
     path_graph,
     random_connected_graph,
 )
-from oracle import brute_min_seps, brute_min_triangulations, explicit_graph_instance
+from oracle import (
+    brute_min_seps,
+    brute_min_triangulations,
+    explicit_graph_instance,
+    rescan_minfill_masks,
+)
 
 EXTENDERS = (extend_family_blackbox, extend_family_separator)
 
@@ -47,6 +56,42 @@ def _random_family(g, rng, max_size=3):
     maximal = sorted(extend_family_blackbox(g, ()), key=canon)
     size = rng.randint(0, min(max_size, len(maximal)))
     return _family(*rng.sample(maximal, size))
+
+
+def _engine_extender_calls(g, answers):
+    """The (family, result) pairs of every blackbox extender call that
+    the enumerator makes for its first ``answers`` answers on g."""
+    inst = separator_graph_instance(g)
+    calls = []
+
+    def extend(fam):
+        got = inst.extend_to_max_ind(fam)
+        calls.append((fam, got))
+        return got
+
+    wrapped = dataclasses.replace(inst, extend_to_max_ind=extend)
+    for _ in itertools.islice(enum_max_independent(wrapped), answers):
+        pass
+    return calls
+
+
+@st.composite
+def graph_masks(draw, max_n=24):
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    p = draw(st.integers(min_value=0, max_value=10)) / 10
+    rng = draw(st.randoms(use_true_random=False))
+    adj = [0] * n
+    for u, v in itertools.combinations(range(n), 2):
+        if rng.random() < p:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return n, adj
+
+
+def _assert_minfill_matches_rescan(adj, n):
+    ours, ref = list(adj), list(adj)
+    assert _minfill_masks(ours, n) == rescan_minfill_masks(ref, n)
+    assert ours == ref
 
 
 class TestSaturateFamily:
@@ -100,6 +145,39 @@ class TestTriangulateHeuristic:
     def test_deterministic(self):
         g = random_connected_graph(9, 0.3, random.Random(7))
         assert triangulate_heuristic(g) == triangulate_heuristic(g)
+
+
+class TestMinfillMasks:
+    """The peel-then-cached-counts min-fill against the plain rescan."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph_masks())
+    def test_same_fill_and_masks_as_rescan(self, graph):
+        n, adj = graph
+        _assert_minfill_matches_rescan(adj, n)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph_masks())
+    def test_chordal_graphs_get_no_fill(self, graph):
+        n, adj = graph
+        rescan_minfill_masks(adj, n)  # adj is now chordal
+        chordal = list(adj)
+        assert _minfill_masks(adj, n) == []
+        assert adj == chordal
+
+    @pytest.mark.parametrize(
+        "g, answers",
+        [
+            (random_connected_graph(30, 0.2, random.Random(1)), 40),
+            (cycle_graph(11), 150),
+        ],
+        ids=["random-prefix", "c11"],
+    )
+    def test_same_fill_on_the_saturated_engine_families(self, g, answers):
+        calls = _engine_extender_calls(g, answers)
+        assert len(calls) > answers
+        for fam, _ in calls:
+            _assert_minfill_matches_rescan(_saturated(g, fam), g.n)
 
 
 class TestMinTriSandwich:
@@ -200,20 +278,43 @@ class TestExtenders:
                 assert extend(g, got) == got
 
     def test_blackbox_equals_public_pipeline(self):
+        def pipeline(g, phi):
+            g_phi = saturate_family(g, phi)
+            h = min_tri_sandwich(g_phi, triangulate_heuristic(g_phi))
+            return frozenset(extract_min_seps_chordal(h))
+
         rng = random.Random(43)
         for _ in range(30):
             g = random_connected_graph(rng.randint(2, 8), rng.choice([0.3, 0.5]), rng)
             phi = _random_family(g, rng)
-            g_phi = saturate_family(g, phi)
-            h = min_tri_sandwich(g_phi, triangulate_heuristic(g_phi))
-            assert extend_family_blackbox(g, phi) == frozenset(
-                extract_min_seps_chordal(h)
-            )
+            assert extend_family_blackbox(g, phi) == pipeline(g, phi)
+        # the families the enumerator really asks for, as the benchmark's
+        # replay check feeds them through the same pipeline
+        for n, p, seed in [(20, 0.25, 3), (24, 0.2, 5), (30, 0.2, 1), (30, 0.15, 8)]:
+            g = random_connected_graph(n, p, random.Random(seed))
+            calls = _engine_extender_calls(g, 15)
+            assert calls
+            for fam, got in calls:
+                assert got == pipeline(g, fam)
 
     def test_invalid_family_raises(self):
         for extend in EXTENDERS:
             with pytest.raises(GraphError):
                 extend(cycle_graph(4), _family({0, 1}))
+            # two minimal separators of C6 that cross
+            with pytest.raises(GraphError, match="family is not valid"):
+                extend(cycle_graph(6), _family({0, 2}, {1, 3}))
+        rng = random.Random(71)
+        for _ in range(20):
+            g = random_connected_graph(rng.randint(4, 8), rng.choice([0.3, 0.5]), rng)
+            seps = sorted(enum_min_seps(g), key=canon)
+            crossing = [
+                (s, t) for s, t in itertools.combinations(seps, 2) if crosses(g, s, t)
+            ]
+            for s, t in crossing[:3]:
+                for extend in EXTENDERS:
+                    with pytest.raises(GraphError, match="family is not valid"):
+                        extend(g, _family(s, t))
 
     def test_disconnected_raises(self):
         for extend in EXTENDERS:
