@@ -4,7 +4,10 @@ polynomial-delay enumerator.
 A separator is represented as a plain ``frozenset`` of vertex ids. Its
 canonical encoding, the ascending tuple of members, fixes the order in
 which a family is split along. Deduplication is by value: the stream
-keys its seen set by mask, and the engine interns the frozensets.
+keys its seen set by mask. ``separator_graph_instance`` gives each
+separator one frozenset object, with its mask, so the engine indexes
+every separator it meets, from the stream or from an extender, as
+that one object.
 """
 
 from __future__ import annotations
@@ -111,7 +114,11 @@ def enum_min_seps(g: Graph) -> Iterator[Separator]:
     queue: deque[int] = deque()
 
     def push_from(removed: int) -> None:
-        for _comp, nb in _components_masks(adj, full & ~removed):
+        # the components of g minus removed, smallest member first
+        sub = remaining = full & ~removed
+        while remaining:
+            comp, nb = _component(adj, sub, remaining & -remaining)
+            remaining &= ~comp
             if nb and nb not in seen:
                 seen.add(nb)
                 queue.append(nb)

@@ -103,7 +103,7 @@ def saturate_td(g: Graph, d: TreeDecomposition) -> Graph:
     """Saturate every bag of d in g; the result is a triangulation of g."""
     if not is_tree_decomposition(g, d):
         raise GraphError("not a tree decomposition of the given graph")
-    return Graph._from_masks(_saturated(g, d.bags))
+    return Graph._from_masks(_saturated(g, map(mask_of, d.bags)))
 
 
 def subsumes(d1: TreeDecomposition, d2: TreeDecomposition) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .graph import (
     DisconnectedGraphError,
@@ -70,24 +70,31 @@ def _check_family(
     return fam
 
 
-def _saturated(g: Graph, sets: Iterable[Iterable[int]]) -> list[int]:
+def _saturated(g: Graph, masks: Iterable[int]) -> list[int]:
     """The adjacency masks of g with every one of the sets saturated."""
     adj = list(g._adj)
-    for vs in sets:
-        _saturate(adj, mask_of(vs))
+    for m in masks:
+        _saturate(adj, m)
     return adj
 
 
 def saturate_family(g: Graph, phi: Iterable[Iterable[int]]) -> Graph:
     """Saturate every separator of the family in g."""
-    return Graph._from_masks(_saturated(g, _check_family(g, phi, verify=False)))
+    fam = _check_family(g, phi, verify=False)
+    return Graph._from_masks(_saturated(g, map(mask_of, fam)))
 
 
-def _minfill_masks(adj: list[int], n: int) -> list[tuple[int, int]]:
+def _minfill_masks(adj: list[int], n: int) -> tuple[list[tuple[int, int]], list[int]]:
     """Min-fill elimination on adjacency masks, in place.
 
     Mutates ``adj`` into a chordal supergraph and returns the added
-    edges, sorted. Ties on fill count break toward the smallest id.
+    edges, sorted, and the elimination order: the peeled vertices, then
+    the rest. Ties on fill count break toward the smallest id. The order
+    is a perfect elimination ordering of the result: each vertex's
+    neighbors that go after it were saturated when it went, and no edge
+    is ever added at a vertex that has gone. The blackbox extender reads
+    MinSep off it with ``_peo_min_seps``, and falls back to MCS when the
+    sandwich step has removed an edge that the order needs.
 
     Runs in two phases that add exactly the edges of the plain rescan.
     First it peels: every vertex that repeated simplicial elimination
@@ -101,14 +108,17 @@ def _minfill_masks(adj: list[int], n: int) -> list[tuple[int, int]]:
     live neighborhood lost a vertex or gained an edge since it was
     counted.
     """
+    order: list[int] = []
     alive = (1 << n) - 1
     todo = alive
     while todo:
         b = todo & -todo
         todo ^= b
-        nb = adj[b.bit_length() - 1] & alive
+        v = b.bit_length() - 1
+        nb = adj[v] & alive
         if _is_clique(adj, nb):
             alive ^= b
+            order.append(v)
             # removing b can only make its neighbors simplicial
             todo |= nb
     added: list[tuple[int, int]] = []
@@ -160,8 +170,45 @@ def _minfill_masks(adj: list[int], n: int) -> list[tuple[int, int]]:
                     # neighborhood of every common neighbor of u and w
                     dirty |= adj[u] & adj[w]
         alive ^= 1 << best
+        order.append(best)
     added.sort()
-    return added
+    return added, order
+
+
+def _peo_min_seps(adj: Sequence[int], order: list[int]) -> set[int] | None:
+    """MinSep of a connected chordal graph, read off a perfect elimination
+    ordering, as masks; None when ``order`` is not one.
+
+    Walks the order backwards. Each vertex x has up(x), its neighbors
+    later in the order, which must be a clique, and its closed set
+    C(x) = x | up(x). If up(x) = C(y) for some y, then y is x's first
+    later neighbor and x continues the maximal clique that C(y) grows
+    into, so up(x) is no clique-tree edge. Every other nonzero up(x) is
+    one. Only one vertex can continue that clique, so each further x'
+    with up(x') = C(y) starts a clique joined to it along C(y), which is
+    then a separator too (Blair & Peyton 1993).
+    """
+    later = 0
+    # C(y) of every vertex walked so far -> whether a vertex continues it
+    closed: dict[int, bool] = {}
+    seps: set[int] = set()
+    for x in reversed(order):
+        up = adj[x] & later
+        taken = closed.get(up)
+        # a C(y) is a clique, since up(y) passed this check
+        if taken is None:
+            if not _is_clique(adj, up):
+                return None
+            if up:
+                seps.add(up)
+        elif taken:
+            seps.add(up)
+        else:
+            closed[up] = True
+        b = 1 << x
+        closed[up | b] = False
+        later |= b
+    return seps
 
 
 def triangulate_heuristic(g: Graph) -> Graph:
@@ -238,13 +285,29 @@ def is_minimal_triangulation(g: Graph, h: Graph) -> bool:
     )
 
 
-def _extend_blackbox(g: Graph, fam: ParallelFamily) -> ParallelFamily:
+def _extend_blackbox(g: Graph, fam: Iterable[int]) -> set[int]:
+    """MinSep of the minimal triangulation that min-fill and the sandwich
+    step make of g with the family's masks saturated, as masks.
+
+    The separators are read off min-fill's elimination order, walked
+    backwards: each vertex's later neighbors up(x) must be a clique, and
+    MinSep is every nonzero up(x) that is not C(y) = y | up(y) for any
+    y, plus every C(y) that is the up-set of two or more vertices. The
+    sandwich step can drop a fill edge between two later neighbors of a
+    vertex, and then the order is no longer perfect; MinSep then comes
+    from a maximum-cardinality search, which raises if the graph is not
+    chordal.
+    """
     adj = _saturated(g, fam)
-    _sandwich_masks(adj, _minfill_masks(adj, g.n))
-    parts = _mcs(adj, g.n)
-    if parts is None:
-        raise GraphError("internal: expected a chordal graph")
-    return frozenset(vertex_set(m) for m in parts[1])
+    fill, order = _minfill_masks(adj, g.n)
+    _sandwich_masks(adj, fill)
+    seps = _peo_min_seps(adj, order)
+    if seps is None:
+        parts = _mcs(adj, g.n)
+        if parts is None:
+            raise GraphError("internal: expected a chordal graph")
+        seps = parts[1]
+    return seps
 
 
 def extend_family_blackbox(g: Graph, phi: Iterable[Iterable[int]]) -> ParallelFamily:
@@ -263,7 +326,7 @@ def extend_family_blackbox(g: Graph, phi: Iterable[Iterable[int]]) -> ParallelFa
             raise GraphError(
                 f"separators {sorted(s)} and {sorted(t)} cross; family is not valid"
             )
-    return _extend_blackbox(g, fam)
+    return frozenset(map(vertex_set, _extend_blackbox(g, map(mask_of, fam))))
 
 
 def _split(adj: list[int], piece: int, smask: int) -> list[int]:
@@ -292,10 +355,11 @@ def get_components(c: Graph, S: Iterable[int]) -> list[tuple[Graph, tuple[int, .
 
 def _split_and_route(
     adj: list[int],
-    fam: ParallelFamily,
+    fam: Iterable[int],
     choose: Callable[[list[int], int], int] | None = None,
 ) -> tuple[list[int], set[int]]:
-    """Split the graph on ``adj`` along a family, saturating ``adj`` in place.
+    """Split the graph on ``adj`` along a family of masks, saturating
+    ``adj`` in place.
 
     A piece that holds family members is split along the canonically
     smallest one, and every other member not inside it is routed to the
@@ -304,7 +368,7 @@ def _split_and_route(
     pieces and the boundaries ``N(comp)`` of every split, as masks.
     """
     queue: deque[tuple[int, list[int]]] = deque(
-        [((1 << len(adj)) - 1, [mask_of(s) for s in sorted(fam, key=canon)])]
+        [((1 << len(adj)) - 1, sorted(fam, key=lambda m: tuple(bits(m))))]
     )
     done: list[int] = []
     boundaries: set[int] = set()
@@ -355,7 +419,7 @@ def decompose(
     if not is_connected(g):
         raise DisconnectedGraphError("decompose requires a connected graph")
     adj = list(g._adj)
-    pieces, _ = _split_and_route(adj, _check_family(g, phi))
+    pieces, _ = _split_and_route(adj, map(mask_of, _check_family(g, phi)))
     h = Graph._from_masks(adj)
     pieces.sort(key=lambda m: tuple(bits(m)))
     return [induced_subgraph(h, bits(piece)) for piece in pieces]
@@ -371,9 +435,11 @@ def _choose_min_sep(adj: list[int], piece: int) -> int:
     return 0
 
 
-def _extend_separator(g: Graph, fam: ParallelFamily) -> ParallelFamily:
+def _extend_separator(g: Graph, fam: Iterable[int]) -> set[int]:
+    fam = list(fam)
     _, boundaries = _split_and_route(list(g._adj), fam, _choose_min_sep)
-    return fam | frozenset(vertex_set(m) for m in boundaries)
+    boundaries.update(fam)
+    return boundaries
 
 
 def extend_family_separator(g: Graph, phi: Iterable[Iterable[int]]) -> ParallelFamily:
@@ -388,10 +454,11 @@ def extend_family_separator(g: Graph, phi: Iterable[Iterable[int]]) -> ParallelF
     """
     if not is_connected(g):
         raise DisconnectedGraphError("extend_family_separator requires a connected graph")
-    return _extend_separator(g, _check_family(g, phi))
+    fam = _check_family(g, phi)
+    return frozenset(map(vertex_set, _extend_separator(g, map(mask_of, fam))))
 
 
-_EXTENDER_IMPL: dict[str, Callable[[Graph, ParallelFamily], ParallelFamily]] = {
+_EXTENDER_IMPL: dict[str, Callable[[Graph, Iterable[int]], set[int]]] = {
     "blackbox": _extend_blackbox,
     "separator": _extend_separator,
 }
@@ -403,16 +470,40 @@ def separator_graph_instance(g: Graph, extender: str = "blackbox") -> ImplicitGr
     Nodes are the minimal separators, adjacency is the crossing
     relation, and the extender completes a pairwise-parallel family to
     a maximal one. Any independent set has fewer than n members.
+
+    The instance keeps one frozenset object per separator, with its
+    mask. Separators from the stream and from the extender come out as
+    those objects, so the engine meets each separator as one object, and
+    the extender works on the masks.
     """
     if extender not in _EXTENDER_IMPL:
         raise ValueError(f"unknown extender {extender!r}; expected one of {EXTENDERS}")
     if not is_connected(g):
         raise DisconnectedGraphError("separator_graph_instance requires a connected graph")
     extend = _EXTENDER_IMPL[extender]
+    masks: dict[Separator, int] = {}
+    objects: dict[int, Separator] = {}
+
+    def mask(s: Separator) -> int:
+        m = masks.get(s)
+        if m is None:
+            m = masks[s] = mask_of(s)
+            objects[m] = s
+        return m
+
+    def separator(m: int) -> Separator:
+        s = objects.get(m)
+        if s is None:
+            s = objects[m] = vertex_set(m)
+            masks[s] = m
+        return s
+
     return ImplicitGraph(
-        node_stream=lambda: enum_min_seps(g),
+        node_stream=lambda: (objects[mask(s)] for s in enum_min_seps(g)),
         adjacent=lambda s, t: crosses(g, s, t),
-        extend_to_max_ind=lambda fam: extend(g, fam),
+        extend_to_max_ind=lambda fam: frozenset(
+            map(separator, extend(g, map(mask, fam)))
+        ),
     )
 
 

@@ -12,6 +12,12 @@ def cycle_graph(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def ladder_graph(k):
+    """The 2 x k grid: top row 0..k-1, bottom row k..2k-1."""
+    rows = [(i, i + 1) for i in range(k - 1)] + [(k + i, k + i + 1) for i in range(k - 1)]
+    return Graph(2 * k, rows + [(i, k + i) for i in range(k)])
+
+
 def complete_graph(n):
     return Graph(n, list(itertools.combinations(range(n), 2)))
 

@@ -3,7 +3,8 @@
 Each test hashes an answer stream, in the order it comes out, and
 compares it with a digest recorded from an earlier implementation.
 Reruns of one build agree by construction; these pin the order across
-changes to the component sweep, the split, min-fill and the extenders.
+changes to the component sweep, the split, min-fill, the extenders and
+the separator read-off.
 """
 
 import hashlib
@@ -12,7 +13,6 @@ import random
 from itertools import islice
 
 from trienum import (
-    Graph,
     crosses,
     decompose,
     enum_min_seps,
@@ -23,7 +23,7 @@ from trienum import (
     find_min_sep,
 )
 
-from conftest import cycle_graph, random_connected_graph
+from conftest import cycle_graph, ladder_graph, random_connected_graph
 
 
 def _digest(rows):
@@ -77,16 +77,10 @@ def _extender_rows():
     return rows
 
 
-def _ladder(k):
-    """The 2 x k grid: top row 0..k-1, bottom row k..2k-1."""
-    rows = [(i, i + 1) for i in range(k - 1)] + [(k + i, k + i + 1) for i in range(k - 1)]
-    return Graph(2 * k, rows + [(i, k + i) for i in range(k)])
-
-
-def _triangulation_rows(g, limit):
+def _triangulation_rows(g, limit, extender="blackbox"):
     return [
         tuple(sorted(t.fill_edges))
-        for t in islice(enum_min_triangulations(g), limit)
+        for t in islice(enum_min_triangulations(g, extender), limit)
     ]
 
 
@@ -127,6 +121,16 @@ def test_random_graph_triangulation_prefix():
     )
 
 
+def test_random_graph_triangulation_prefix_separator_extender():
+    rows = _triangulation_rows(
+        random_connected_graph(30, 0.2, random.Random(1)), 300, "separator"
+    )
+    assert len(rows) == 300
+    assert _digest(rows) == (
+        "01ab43ee2e028accf8e0aebc5e6491f5d6a35c53644fb7cf66f15ddbe82ac7a9"
+    )
+
+
 def test_c11_triangulation_prefix():
     rows = _triangulation_rows(cycle_graph(11), 1000)
     assert len(rows) == 1000
@@ -136,7 +140,7 @@ def test_c11_triangulation_prefix():
 
 
 def test_ladder_tree_decompositions():
-    rows = _treedecomp_rows(_ladder(12))
+    rows = _treedecomp_rows(ladder_graph(12))
     assert len(rows) == 2048
     assert _digest(rows) == (
         "1f5f933ff0a658268b1dc36b51f88d3fe3869e95233fc8b8d6f05373cb186985"

@@ -22,6 +22,7 @@ from trienum import (
     extract_min_seps_chordal,
     get_components,
     is_chordal,
+    is_connected,
     is_minimal_separator,
     is_minimal_triangulation,
     min_tri_sandwich,
@@ -29,12 +30,21 @@ from trienum import (
     separator_graph_instance,
     triangulate_heuristic,
 )
-from trienum.triangulate import _minfill_masks, _saturated
+from trienum import triangulate
+from trienum.graph import _mcs, bits, mask_of
+from trienum.triangulate import (
+    _extend_blackbox,
+    _minfill_masks,
+    _peo_min_seps,
+    _sandwich_masks,
+    _saturated,
+)
 
 from conftest import (
     all_connected_graphs,
     complete_graph,
     cycle_graph,
+    ladder_graph,
     path_graph,
     random_connected_graph,
 )
@@ -47,6 +57,14 @@ from oracle import (
 
 EXTENDERS = (extend_family_blackbox, extend_family_separator)
 
+# min-fill adds (3, 7), (4, 9), (6, 13) and (8, 9) to this graph, and the
+# sandwich step drops a fill edge that joins two later neighbors of a
+# vertex, so the elimination order is no longer perfect
+FALLBACK_EDGES = [
+    (0, 4), (0, 6), (0, 13), (1, 3), (1, 7), (2, 4), (2, 6), (2, 9), (3, 4), (3, 12),
+    (4, 6), (4, 7), (4, 8), (4, 13), (5, 10), (5, 11), (6, 9), (7, 13), (8, 10), (9, 10),
+]
+
 
 def _family(*seps):
     return frozenset(frozenset(s) for s in seps)
@@ -56,6 +74,41 @@ def _random_family(g, rng, max_size=3):
     maximal = sorted(extend_family_blackbox(g, ()), key=canon)
     size = rng.randint(0, min(max_size, len(maximal)))
     return _family(*rng.sample(maximal, size))
+
+
+def _public_pipeline(g, phi):
+    """What the blackbox extender computes, from the public functions that
+    the benchmark's replay check runs."""
+    g_phi = saturate_family(g, phi)
+    h = min_tri_sandwich(g_phi, triangulate_heuristic(g_phi))
+    return frozenset(extract_min_seps_chordal(h))
+
+
+def _pairwise_adjacent(adj, mask):
+    return all(not mask & ~adj[a] & ~(1 << a) for a in bits(mask))
+
+
+def _is_peo(adj, order):
+    """Whether each vertex's neighbors after it in ``order`` are a clique."""
+    later = 0
+    for x in reversed(order):
+        if not _pairwise_adjacent(adj, adj[x] & later):
+            return False
+        later |= 1 << x
+    return True
+
+
+def _random_peo(adj, n, rng):
+    """A random perfect elimination ordering of a chordal graph: eliminate
+    a random simplicial vertex of what is left, until nothing is."""
+    order = []
+    alive = (1 << n) - 1
+    while alive:
+        simplicial = [v for v in bits(alive) if _pairwise_adjacent(adj, adj[v] & alive)]
+        v = rng.choice(simplicial)
+        order.append(v)
+        alive &= ~(1 << v)
+    return order
 
 
 def _engine_extender_calls(g, answers):
@@ -90,7 +143,8 @@ def graph_masks(draw, max_n=24):
 
 def _assert_minfill_matches_rescan(adj, n):
     ours, ref = list(adj), list(adj)
-    assert _minfill_masks(ours, n) == rescan_minfill_masks(ref, n)
+    fill, _ = _minfill_masks(ours, n)
+    assert fill == rescan_minfill_masks(ref, n)
     assert ours == ref
 
 
@@ -156,13 +210,21 @@ class TestMinfillMasks:
         n, adj = graph
         _assert_minfill_matches_rescan(adj, n)
 
+    @settings(max_examples=300, deadline=None)
+    @given(graph_masks())
+    def test_order_is_a_peo_of_the_result(self, graph):
+        n, adj = graph
+        _, order = _minfill_masks(adj, n)
+        assert sorted(order) == list(range(n))
+        assert _is_peo(adj, order)
+
     @settings(max_examples=150, deadline=None)
     @given(graph_masks())
     def test_chordal_graphs_get_no_fill(self, graph):
         n, adj = graph
         rescan_minfill_masks(adj, n)  # adj is now chordal
         chordal = list(adj)
-        assert _minfill_masks(adj, n) == []
+        assert _minfill_masks(adj, n)[0] == []
         assert adj == chordal
 
     @pytest.mark.parametrize(
@@ -177,7 +239,58 @@ class TestMinfillMasks:
         calls = _engine_extender_calls(g, answers)
         assert len(calls) > answers
         for fam, _ in calls:
-            _assert_minfill_matches_rescan(_saturated(g, fam), g.n)
+            _assert_minfill_matches_rescan(_saturated(g, map(mask_of, fam)), g.n)
+
+
+class TestPeoMinSeps:
+    """MinSep read off an elimination order, against MCS and brute force."""
+
+    def test_every_small_chordal_graph_under_random_peos(self):
+        rng = random.Random(1993)
+        checked = 0
+        for g in all_connected_graphs(6):
+            if not is_chordal(g):
+                continue
+            want = {mask_of(s) for s in brute_min_seps(g)}
+            adj = list(g._adj)
+            assert _mcs(adj, g.n)[1] == want
+            for _ in range(3):
+                assert _peo_min_seps(adj, _random_peo(adj, g.n, rng)) == want
+            checked += 1
+        assert checked == 13884  # connected chordal graphs on 1 to 6 labelled vertices
+
+    def test_c4_with_a_chord(self):
+        adj = list(cycle_graph(4).add_edges([(0, 2)])._adj)
+        assert _peo_min_seps(adj, [1, 3, 0, 2]) == {0b0101}
+        assert _peo_min_seps(adj, [1, 0, 3, 2]) == {0b0101}
+        # 0's later neighbors 1 and 3 are not adjacent
+        assert _peo_min_seps(adj, [0, 1, 2, 3]) is None
+
+    def test_shared_closed_set_is_a_separator(self):
+        # the path 0-1-2 eliminated 0, 2, 1: both ends have up-set {1} = C(1)
+        adj = list(path_graph(3)._adj)
+        assert _peo_min_seps(adj, [0, 2, 1]) == {0b010}
+        assert _peo_min_seps(adj, [0, 1, 2]) == {0b010}
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph_masks(max_n=9), st.randoms(use_true_random=False))
+    def test_any_order_is_read_or_rejected(self, graph, rng):
+        n, adj = graph
+        order = list(range(n))
+        rng.shuffle(order)
+        got = _peo_min_seps(adj, order)
+        if not _is_peo(adj, order):
+            assert got is None
+        elif n and is_connected(Graph._from_masks(adj)):
+            assert got == _mcs(adj, n)[1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph_masks(max_n=14))
+    def test_minfill_result_under_its_own_order(self, graph):
+        n, adj = graph
+        _, order = _minfill_masks(adj, n)
+        if n and is_connected(Graph._from_masks(adj)):
+            assert _peo_min_seps(adj, order) == _mcs(adj, n)[1]
 
 
 class TestMinTriSandwich:
@@ -278,24 +391,43 @@ class TestExtenders:
                 assert extend(g, got) == got
 
     def test_blackbox_equals_public_pipeline(self):
-        def pipeline(g, phi):
-            g_phi = saturate_family(g, phi)
-            h = min_tri_sandwich(g_phi, triangulate_heuristic(g_phi))
-            return frozenset(extract_min_seps_chordal(h))
-
         rng = random.Random(43)
         for _ in range(30):
             g = random_connected_graph(rng.randint(2, 8), rng.choice([0.3, 0.5]), rng)
             phi = _random_family(g, rng)
-            assert extend_family_blackbox(g, phi) == pipeline(g, phi)
+            assert extend_family_blackbox(g, phi) == _public_pipeline(g, phi)
         # the families the enumerator really asks for, as the benchmark's
         # replay check feeds them through the same pipeline
-        for n, p, seed in [(20, 0.25, 3), (24, 0.2, 5), (30, 0.2, 1), (30, 0.15, 8)]:
-            g = random_connected_graph(n, p, random.Random(seed))
+        graphs = [
+            random_connected_graph(n, p, random.Random(seed))
+            for n, p, seed in [(20, 0.25, 3), (24, 0.2, 5), (30, 0.2, 1), (30, 0.15, 8)]
+        ]
+        for g in graphs + [cycle_graph(11), ladder_graph(12)]:
             calls = _engine_extender_calls(g, 15)
             assert calls
             for fam, got in calls:
-                assert got == pipeline(g, fam)
+                assert got == _public_pipeline(g, fam)
+
+    def test_fallback_when_the_sandwich_breaks_the_order(self):
+        g = Graph(14, FALLBACK_EDGES)
+        adj = list(g._adj)
+        fill, order = _minfill_masks(adj, g.n)
+        assert fill == [(3, 7), (4, 9), (6, 13), (8, 9)]
+        _sandwich_masks(adj, fill)
+        assert len(set(fill) - set(Graph._from_masks(adj).edges())) == 1
+        assert _peo_min_seps(adj, order) is None
+        seps = _extend_blackbox(g, [])
+        assert seps == _mcs(adj, g.n)[1]
+        assert {frozenset(bits(m)) for m in seps} == _public_pipeline(g, ())
+        assert extend_family_blackbox(g, ()) == _public_pipeline(g, ())
+
+    def test_blackbox_raises_on_a_non_chordal_result(self, monkeypatch):
+        # a min-fill that adds nothing leaves C4 as it is
+        monkeypatch.setattr(
+            triangulate, "_minfill_masks", lambda adj, n: ([], list(range(n)))
+        )
+        with pytest.raises(GraphError, match="expected a chordal graph"):
+            extend_family_blackbox(cycle_graph(4), ())
 
     def test_invalid_family_raises(self):
         for extend in EXTENDERS:
@@ -479,6 +611,25 @@ class TestSeparatorGraphInstance:
     def test_k4_has_no_nodes(self):
         inst = separator_graph_instance(complete_graph(4))
         assert list(inst.node_stream()) == []
+
+    @pytest.mark.parametrize("extender", ["blackbox", "separator"])
+    def test_one_object_per_separator(self, extender):
+        g = random_connected_graph(12, 0.3, random.Random(5))
+        inst = separator_graph_instance(g, extender)
+        first = inst.extend_to_max_ind(frozenset())
+        stream = {s: s for s in inst.node_stream()}
+        assert first and set(first) <= set(stream)
+        for s in first:
+            assert stream[s] is s
+        # an equal copy in the input comes back as the instance's object
+        copies = frozenset(frozenset(s) for s in first)
+        assert all(stream[s] is s for s in inst.extend_to_max_ind(copies))
+        answers = 0
+        for answer in enum_max_independent(inst):
+            answers += 1
+            for s in answer:
+                assert stream[s] is s
+        assert answers > 1
 
     def test_unknown_extender_rejected(self):
         with pytest.raises(ValueError):
