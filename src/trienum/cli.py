@@ -12,10 +12,11 @@ at ``--limit`` right after an answer is written.
 Answers are written one per line and flushed immediately, so piping
 into ``head`` or using ``--limit`` stops the enumeration early instead
 of waiting for it to finish. Exit codes: 0 on success, 1 on input
-errors, 2 on guard violations (disconnected input without
-``--per-component``, an oversized crossing graph, or a bad crossing-graph
-cap), 130 when interrupted (Ctrl-C), and 141 when the reader of stdout
-goes away (e.g. ``| head``). None of them prints a traceback.
+errors and when memory runs out, 2 on guard violations (disconnected
+input without ``--per-component``, an oversized crossing graph, or a
+bad crossing-graph cap), 130 when interrupted (Ctrl-C), and 141 when
+the reader of stdout goes away (e.g. ``| head``). None of them prints
+a traceback.
 """
 
 from __future__ import annotations
@@ -300,6 +301,9 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # nobody reads stdout any more; send what is still buffered to
         # the null device so the interpreter's last flush cannot fail

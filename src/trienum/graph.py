@@ -246,77 +246,89 @@ def _is_clique(adj: Sequence[int], mask: int) -> bool:
     return True
 
 
-def _mcs(adj: Sequence[int], n: int) -> tuple[list[int], set[int]] | None:
-    """Maximum-cardinality search on a graph given by adjacency masks,
-    in one pass that also tests chordality and reads off the cliques.
+def _peel(adj: Sequence[int], n: int) -> tuple[list[int], int]:
+    """Repeated simplicial elimination on adjacency masks.
 
-    Returns None when the graph is not chordal. Otherwise returns its
-    maximal cliques and its minimal separators, as masks. The graph is
-    chordal exactly when each vertex's already-visited neighbors form a
-    clique (the reversed visit order is then a perfect elimination
-    ordering), and that is checked for every vertex as it is visited.
-    A new clique starts at each vertex whose count of already-visited
-    neighbors fails to grow; there the check runs in full, and in a
-    connected chordal graph those neighbors are exactly the minimal
-    separators (Blair & Peyton 1993), so no clique tree is needed to
-    find them. Where the count grows, a chordal graph has the current
-    clique as the vertex's visited neighbors, so the check there is a
-    comparison.
+    Returns the vertices removed, in the order they went, and the mask
+    of the rest. A vertex goes when its remaining neighbors are a
+    clique. A simplicial vertex stays simplicial as others go, so every
+    peeling order removes the same set, and the graph is peeled empty
+    exactly when it is chordal (Rose, Tarjan & Lueker 1976); the order
+    is then a perfect elimination ordering. Vertices are tried lowest
+    id first, and a removal queues only its neighbors again.
     """
-    cliques: list[int] = []
-    seps: set[int] = set()
-    # buckets[w]: the unvisited vertices with w visited neighbors; the
-    # next vertex is the lowest one in the top nonempty bucket
-    buckets = [(1 << n) - 1] + [0] * n
-    top = 0
-    prev = -1
-    visited = current = 0
-    for _ in range(n):
-        while not buckets[top]:
-            top -= 1
-        b = buckets[top] & -buckets[top]
-        buckets[top] ^= b
+    order: list[int] = []
+    alive = (1 << n) - 1
+    todo = alive
+    while todo:
+        b = todo & -todo
+        todo ^= b
         v = b.bit_length() - 1
-        s = adj[v] & visited  # |s| == top
-        if top <= prev:
-            if not _is_clique(adj, s):
+        nb = adj[v] & alive
+        if _is_clique(adj, nb):
+            alive ^= b
+            order.append(v)
+            # removing b can only make its neighbors simplicial
+            todo |= nb
+    return order, alive
+
+
+def _peo_read_off(
+    adj: Sequence[int], order: Sequence[int]
+) -> tuple[list[int], set[int]] | None:
+    """The maximal cliques and the minimal separators of a chordal graph,
+    read off a perfect elimination ordering, as masks; None when
+    ``order`` is not one.
+
+    Walks the order backwards. Each vertex x has up(x), its neighbors
+    later in the order, which must be a clique, and its closed set
+    C(x) = x | up(x). If up(x) = C(y) for some y, then y is x's first
+    later neighbor and x continues the clique that C(y) grows into, so
+    C(y) is not maximal and up(x) is no clique-tree edge. Every C(y)
+    that no vertex continues is a maximal clique, and every other
+    nonzero up(x) is a clique-tree edge. Only one vertex can continue a
+    clique, so each further x' with up(x') = C(y) starts a clique joined
+    to it along C(y), which is then a separator too (Blair & Peyton
+    1993). In a disconnected graph each component is read on its own.
+    """
+    later = 0
+    # C(y) of every vertex walked so far -> whether a vertex continues it
+    closed: dict[int, bool] = {}
+    seps: set[int] = set()
+    for x in reversed(order):
+        up = adj[x] & later
+        taken = closed.get(up)
+        # a C(y) is a clique, since up(y) passed this check
+        if taken is None:
+            if not _is_clique(adj, up):
                 return None
-            cliques.append(current)
-            current = s
-            if s:
-                seps.add(s)
-        elif s != current:
-            return None
-        current |= b
-        prev = top
-        visited |= b
-        m = adj[v] & ~visited
-        if m:
-            for w in range(top, -1, -1):
-                moved = buckets[w] & m
-                if moved:
-                    buckets[w] ^= moved
-                    buckets[w + 1] |= moved
-                    m ^= moved
-                    if not m:
-                        break
-            top += 1
-    if n:
-        cliques.append(current)
-    return cliques, seps
+            if up:
+                seps.add(up)
+        elif taken:
+            seps.add(up)
+        else:
+            closed[up] = True
+        b = 1 << x
+        closed[up | b] = False
+        later |= b
+    return [c for c, taken in closed.items() if not taken], seps
+
+
+def _chordal_read_off(adj: Sequence[int], n: int) -> tuple[list[int], set[int]] | None:
+    """The maximal cliques and the minimal separators, as masks, read off
+    the peeling order; None when the graph is not chordal."""
+    order, left = _peel(adj, n)
+    return None if left else _peo_read_off(adj, order)
 
 
 def is_chordal(g: Graph) -> bool:
-    """Chordality test via maximum cardinality search.
-
-    The reversed MCS visit order is a perfect elimination ordering
-    exactly when the graph is chordal, which this verifies directly.
-    """
-    return _mcs(g._adj, g.n) is not None
+    """Chordality test: repeated simplicial elimination empties exactly
+    the chordal graphs."""
+    return not _peel(g._adj, g.n)[1]
 
 
 def _max_clique_masks(h: Graph) -> list[int]:
-    parts = _mcs(h._adj, h.n)
+    parts = _chordal_read_off(h._adj, h.n)
     if parts is None:
         raise NotChordalError("input graph is not chordal")
     return sorted(parts[0], key=lambda m: tuple(bits(m)))

@@ -22,10 +22,10 @@ from .graph import (
     NotChordalError,
     VertexSet,
     _check_subset,
+    _chordal_read_off,
     _component,
     _components_masks,
     _is_clique,
-    _mcs,
     bits,
     is_connected,
     mask_of,
@@ -144,12 +144,13 @@ def find_min_sep(c: Graph, u: int, v: int) -> Separator:
 
 
 def extract_min_seps_chordal(h: Graph) -> set[Separator]:
-    """MinSep of a connected chordal graph, read off a maximum-cardinality
-    search: the already-visited neighbors of each vertex at which a new
-    maximal clique starts (Blair & Peyton 1993)."""
+    """MinSep of a connected chordal graph, read off the order in which
+    repeated simplicial elimination empties it: walked backwards, the
+    later neighbors of each vertex that starts a new maximal clique
+    (Blair & Peyton 1993)."""
     if not is_connected(h):
         raise DisconnectedGraphError("extract_min_seps_chordal requires a connected graph")
-    parts = _mcs(h._adj, h.n)
+    parts = _chordal_read_off(h._adj, h.n)
     if parts is None:
         raise NotChordalError("input graph is not chordal")
     return {vertex_set(m) for m in parts[1]}

@@ -12,17 +12,19 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .graph import (
     DisconnectedGraphError,
     Graph,
     GraphError,
     _check_subset,
+    _chordal_read_off,
     _component,
     _components_masks,
     _is_clique,
-    _mcs,
+    _peel,
+    _peo_read_off,
     _saturate,
     bits,
     induced_subgraph,
@@ -93,34 +95,20 @@ def _minfill_masks(adj: list[int], n: int) -> tuple[list[tuple[int, int]], list[
     is a perfect elimination ordering of the result: each vertex's
     neighbors that go after it were saturated when it went, and no edge
     is ever added at a vertex that has gone. The blackbox extender reads
-    MinSep off it with ``_peo_min_seps``, and falls back to MCS when the
-    sandwich step has removed an edge that the order needs.
+    MinSep off it with ``_peo_read_off``, and peels the graph again when
+    the sandwich step has removed an edge that the order needs.
 
     Runs in two phases that add exactly the edges of the plain rescan.
-    First it peels: every vertex that repeated simplicial elimination
-    can remove goes, with no edge added. This is what min-fill does
-    before its first step with positive fill, because it takes a
-    fill-0 (simplicial) vertex whenever one exists, and a simplicial
-    vertex stays simplicial as others go, so any peeling order removes
-    the same set (Rose, Tarjan & Lueker 1976). A chordal graph is
-    peeled empty. The rest runs the min-fill loop with each vertex's
-    fill count cached; a count is recomputed only when the vertex's
-    live neighborhood lost a vertex or gained an edge since it was
-    counted.
+    First ``_peel`` removes every vertex that repeated simplicial
+    elimination can remove, with no edge added. This is what min-fill
+    does before its first step with positive fill, because it takes a
+    fill-0 (simplicial) vertex whenever one exists, and any peeling
+    order removes the same set. A chordal graph is peeled empty. The
+    rest runs the min-fill loop with each vertex's fill count cached; a
+    count is recomputed only when the vertex's live neighborhood lost a
+    vertex or gained an edge since it was counted.
     """
-    order: list[int] = []
-    alive = (1 << n) - 1
-    todo = alive
-    while todo:
-        b = todo & -todo
-        todo ^= b
-        v = b.bit_length() - 1
-        nb = adj[v] & alive
-        if _is_clique(adj, nb):
-            alive ^= b
-            order.append(v)
-            # removing b can only make its neighbors simplicial
-            todo |= nb
+    order, alive = _peel(adj, n)
     added: list[tuple[int, int]] = []
     fills = [0] * n
     dirty = alive
@@ -173,42 +161,6 @@ def _minfill_masks(adj: list[int], n: int) -> tuple[list[tuple[int, int]], list[
         order.append(best)
     added.sort()
     return added, order
-
-
-def _peo_min_seps(adj: Sequence[int], order: list[int]) -> set[int] | None:
-    """MinSep of a connected chordal graph, read off a perfect elimination
-    ordering, as masks; None when ``order`` is not one.
-
-    Walks the order backwards. Each vertex x has up(x), its neighbors
-    later in the order, which must be a clique, and its closed set
-    C(x) = x | up(x). If up(x) = C(y) for some y, then y is x's first
-    later neighbor and x continues the maximal clique that C(y) grows
-    into, so up(x) is no clique-tree edge. Every other nonzero up(x) is
-    one. Only one vertex can continue that clique, so each further x'
-    with up(x') = C(y) starts a clique joined to it along C(y), which is
-    then a separator too (Blair & Peyton 1993).
-    """
-    later = 0
-    # C(y) of every vertex walked so far -> whether a vertex continues it
-    closed: dict[int, bool] = {}
-    seps: set[int] = set()
-    for x in reversed(order):
-        up = adj[x] & later
-        taken = closed.get(up)
-        # a C(y) is a clique, since up(y) passed this check
-        if taken is None:
-            if not _is_clique(adj, up):
-                return None
-            if up:
-                seps.add(up)
-        elif taken:
-            seps.add(up)
-        else:
-            closed[up] = True
-        b = 1 << x
-        closed[up | b] = False
-        later |= b
-    return seps
 
 
 def triangulate_heuristic(g: Graph) -> Graph:
@@ -294,20 +246,17 @@ def _extend_blackbox(g: Graph, fam: Iterable[int]) -> set[int]:
     MinSep is every nonzero up(x) that is not C(y) = y | up(y) for any
     y, plus every C(y) that is the up-set of two or more vertices. The
     sandwich step can drop a fill edge between two later neighbors of a
-    vertex, and then the order is no longer perfect; MinSep then comes
-    from a maximum-cardinality search, which raises if the graph is not
-    chordal.
+    vertex, and then the order is no longer perfect; the graph is then
+    peeled again and the same walk reads the peeling order, which
+    raises if the graph is not chordal.
     """
     adj = _saturated(g, fam)
     fill, order = _minfill_masks(adj, g.n)
     _sandwich_masks(adj, fill)
-    seps = _peo_min_seps(adj, order)
-    if seps is None:
-        parts = _mcs(adj, g.n)
-        if parts is None:
-            raise GraphError("internal: expected a chordal graph")
-        seps = parts[1]
-    return seps
+    parts = _peo_read_off(adj, order) or _chordal_read_off(adj, g.n)
+    if parts is None:
+        raise GraphError("internal: expected a chordal graph")
+    return parts[1]
 
 
 def extend_family_blackbox(g: Graph, phi: Iterable[Iterable[int]]) -> ParallelFamily:

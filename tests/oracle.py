@@ -236,6 +236,92 @@ def rescan_minfill_masks(adj: list[int], n: int) -> list[tuple[int, int]]:
     return added
 
 
+def brute_max_cliques(g: Graph) -> set[VertexSet]:
+    """All maximal cliques, by scanning every vertex subset."""
+    _guard_n(g, MAX_MIS_VERTICES)
+    adj = g._adj
+    out: set[VertexSet] = set()
+    for m in range(1, 1 << g.n):
+        ok = True
+        for v in range(g.n):
+            if m >> v & 1:
+                if m & ~adj[v] != 1 << v:
+                    ok = False  # not a clique
+                    break
+            elif not m & ~adj[v]:
+                ok = False  # extendable by v, not maximal
+                break
+        if ok:
+            out.add(frozenset(bits(m)))
+    return out
+
+
+def _is_clique(adj: Sequence[int], mask: int) -> bool:
+    """Whether the vertices of ``mask`` are pairwise adjacent."""
+    return all(not mask & ~adj[a] & ~(1 << a) for a in bits(mask))
+
+
+def mcs_cliques_seps(adj: Sequence[int], n: int) -> tuple[list[int], set[int]] | None:
+    """Maximum-cardinality search on a graph given by adjacency masks,
+    in one pass that also tests chordality and reads off the cliques:
+    the reference for ``trienum.graph._chordal_read_off``.
+
+    Returns None when the graph is not chordal. Otherwise returns its
+    maximal cliques and its minimal separators, as masks. The graph is
+    chordal exactly when each vertex's already-visited neighbors form a
+    clique (the reversed visit order is then a perfect elimination
+    ordering), and that is checked for every vertex as it is visited.
+    A new clique starts at each vertex whose count of already-visited
+    neighbors fails to grow; there the check runs in full, and in a
+    connected chordal graph those neighbors are exactly the minimal
+    separators (Blair & Peyton 1993), so no clique tree is needed to
+    find them. Where the count grows, a chordal graph has the current
+    clique as the vertex's visited neighbors, so the check there is a
+    comparison.
+    """
+    cliques: list[int] = []
+    seps: set[int] = set()
+    # buckets[w]: the unvisited vertices with w visited neighbors; the
+    # next vertex is the lowest one in the top nonempty bucket
+    buckets = [(1 << n) - 1] + [0] * n
+    top = 0
+    prev = -1
+    visited = current = 0
+    for _ in range(n):
+        while not buckets[top]:
+            top -= 1
+        b = buckets[top] & -buckets[top]
+        buckets[top] ^= b
+        v = b.bit_length() - 1
+        s = adj[v] & visited  # |s| == top
+        if top <= prev:
+            if not _is_clique(adj, s):
+                return None
+            cliques.append(current)
+            current = s
+            if s:
+                seps.add(s)
+        elif s != current:
+            return None
+        current |= b
+        prev = top
+        visited |= b
+        m = adj[v] & ~visited
+        if m:
+            for w in range(top, -1, -1):
+                moved = buckets[w] & m
+                if moved:
+                    buckets[w] ^= moved
+                    buckets[w + 1] |= moved
+                    m ^= moved
+                    if not m:
+                        break
+            top += 1
+    if n:
+        cliques.append(current)
+    return cliques, seps
+
+
 def explicit_graph_instance(g: Graph) -> ImplicitGraph:
     """Wrap a materialized Graph as an implicit instance.
 

@@ -241,6 +241,19 @@ class TestGuardsAndErrors:
         assert (code, out) == (1, "")
         assert err == "error: line 1: negative edge count\n"
 
+    @pytest.mark.parametrize(
+        "fmt, text",
+        [
+            ("dimacs", "p edge 1000000000000000 0\n"),
+            ("json", '{"n": 1000000000000000, "edges": []}'),
+        ],
+    )
+    def test_out_of_memory_exit_one(self, fmt, text, capsys, monkeypatch):
+        # 10**15 adjacency slots cannot be allocated, so this fails at once
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run_cli(capsys, ["minseps", "--format", fmt])
+        assert (code, out, err) == (1, "", "error: out of memory\n")
+
     def test_crossgraph_guard(self, tmp_path, capsys):
         path = write_cycle(tmp_path, 8)
         code, _, err = run_cli(

@@ -38,7 +38,7 @@ from conftest import (
     path_graph,
     random_connected_graph,
 )
-from oracle import brute_is_chordal, brute_min_seps
+from oracle import brute_is_chordal, brute_max_cliques, brute_min_seps
 
 
 @st.composite
@@ -303,17 +303,6 @@ class TestChordality:
             assert is_chordal(g) == brute_is_chordal(g)
 
 
-def _brute_max_cliques(g):
-    cliques = []
-    for size in range(g.n, 0, -1):
-        for verts in itertools.combinations(range(g.n), size):
-            if all(g.has_edge(a, b) for a, b in itertools.combinations(verts, 2)):
-                c = frozenset(verts)
-                if not any(c < other for other in cliques):
-                    cliques.append(c)
-    return set(cliques)
-
-
 class TestMaxCliques:
     def test_c4_with_chord(self):
         g = cycle_graph(4).add_edges([(0, 2)])
@@ -347,7 +336,7 @@ class TestMaxCliques:
             )
         for h in graphs:
             got = set(max_cliques_chordal(h))
-            assert got == _brute_max_cliques(h)
+            assert got == brute_max_cliques(h)
             assert len(got) <= h.n  # at most one maximal clique per vertex
             if h.n and is_connected(h):
                 assert extract_min_seps_chordal(h) == brute_min_seps(h)

@@ -1,9 +1,11 @@
-"""Static checks on the package source: no dead imports, no dead helpers.
+"""Static checks on the package source: no dead imports, no dead
+helpers, no docstring that names a private helper that is gone.
 
-Both scans read ``src/trienum/*.py`` with ``ast``; nothing is imported.
+The scans read ``src/trienum/*.py`` with ``ast``; nothing is imported.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -59,3 +61,39 @@ def test_no_unreferenced_private_functions():
         and used[node.name] == _loaded_names(node)[node.name]
     ]
     assert dead == []
+
+
+def _defined_names(tree):
+    """Every name the tree binds: functions, classes and assignment
+    targets."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+    return names
+
+
+def _docstrings(tree):
+    for node in ast.walk(tree):
+        if isinstance(
+            node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        ):
+            doc = ast.get_docstring(node)
+            if doc:
+                yield doc
+
+
+def test_docstrings_name_only_defined_private_helpers():
+    modules = _modules()
+    defined = set().union(*map(_defined_names, modules.values()))
+    stale = [
+        f"{name}: {ref}"
+        for name, tree in modules.items()
+        for doc in _docstrings(tree)
+        # ``_helper`` or ``module._helper``; dunders are Python's own
+        for ref in re.findall(r"``(?:[\w.]*\.)?(_\w+)``", doc)
+        if not ref.startswith("__") and ref not in defined
+    ]
+    assert stale == []

@@ -10,6 +10,7 @@ from trienum import (
     DisconnectedGraphError,
     Graph,
     GraphError,
+    NotChordalError,
     canon,
     clq_min_seps,
     crosses,
@@ -25,23 +26,24 @@ from trienum import (
     is_connected,
     is_minimal_separator,
     is_minimal_triangulation,
+    max_cliques_chordal,
     min_tri_sandwich,
     saturate_family,
     separator_graph_instance,
     triangulate_heuristic,
 )
 from trienum import triangulate
-from trienum.graph import _mcs, bits, mask_of
+from trienum.graph import _chordal_read_off, _peo_read_off, bits, mask_of, vertex_set
 from trienum.triangulate import (
     _extend_blackbox,
     _minfill_masks,
-    _peo_min_seps,
     _sandwich_masks,
     _saturated,
 )
 
 from conftest import (
     all_connected_graphs,
+    all_graphs,
     complete_graph,
     cycle_graph,
     ladder_graph,
@@ -49,9 +51,12 @@ from conftest import (
     random_connected_graph,
 )
 from oracle import (
+    _is_clique,
+    brute_max_cliques,
     brute_min_seps,
     brute_min_triangulations,
     explicit_graph_instance,
+    mcs_cliques_seps,
     rescan_minfill_masks,
 )
 
@@ -84,15 +89,11 @@ def _public_pipeline(g, phi):
     return frozenset(extract_min_seps_chordal(h))
 
 
-def _pairwise_adjacent(adj, mask):
-    return all(not mask & ~adj[a] & ~(1 << a) for a in bits(mask))
-
-
 def _is_peo(adj, order):
     """Whether each vertex's neighbors after it in ``order`` are a clique."""
     later = 0
     for x in reversed(order):
-        if not _pairwise_adjacent(adj, adj[x] & later):
+        if not _is_clique(adj, adj[x] & later):
             return False
         later |= 1 << x
     return True
@@ -104,11 +105,16 @@ def _random_peo(adj, n, rng):
     order = []
     alive = (1 << n) - 1
     while alive:
-        simplicial = [v for v in bits(alive) if _pairwise_adjacent(adj, adj[v] & alive)]
+        simplicial = [v for v in bits(alive) if _is_clique(adj, adj[v] & alive)]
         v = rng.choice(simplicial)
         order.append(v)
         alive &= ~(1 << v)
     return order
+
+
+def _sorted_parts(parts):
+    """A (cliques, separators) read-off with the cliques sorted, or None."""
+    return parts and (sorted(parts[0]), parts[1])
 
 
 def _engine_extender_calls(g, answers):
@@ -243,34 +249,45 @@ class TestMinfillMasks:
 
 
 class TestPeoMinSeps:
-    """MinSep read off an elimination order, against MCS and brute force."""
+    """Cliques and MinSep read off an elimination order, against MCS and
+    brute force."""
 
     def test_every_small_chordal_graph_under_random_peos(self):
         rng = random.Random(1993)
-        checked = 0
-        for g in all_connected_graphs(6):
-            if not is_chordal(g):
-                continue
-            want = {mask_of(s) for s in brute_min_seps(g)}
-            adj = list(g._adj)
-            assert _mcs(adj, g.n)[1] == want
-            for _ in range(3):
-                assert _peo_min_seps(adj, _random_peo(adj, g.n, rng)) == want
-            checked += 1
-        assert checked == 13884  # connected chordal graphs on 1 to 6 labelled vertices
+        chordal = connected = 0
+        for n in range(7):
+            for g in all_graphs(n):
+                if not is_chordal(g):
+                    continue
+                adj = list(g._adj)
+                cliques = sorted(map(mask_of, brute_max_cliques(g)))
+                assert sorted(map(mask_of, max_cliques_chordal(g))) == cliques
+                # per component, as MCS reads them
+                seps = mcs_cliques_seps(adj, n)[1]
+                if n and is_connected(g):
+                    assert seps == {mask_of(s) for s in brute_min_seps(g)}
+                    connected += 1
+                for _ in range(3):
+                    got = _peo_read_off(adj, _random_peo(adj, n, rng))
+                    assert _sorted_parts(got) == (cliques, seps)
+                chordal += 1
+        # labelled chordal graphs on 0 to 6 vertices, and the connected ones
+        assert (chordal, connected) == (19049, 13884)
 
     def test_c4_with_a_chord(self):
         adj = list(cycle_graph(4).add_edges([(0, 2)])._adj)
-        assert _peo_min_seps(adj, [1, 3, 0, 2]) == {0b0101}
-        assert _peo_min_seps(adj, [1, 0, 3, 2]) == {0b0101}
+        want = ([0b0111, 0b1101], {0b0101})
+        assert _sorted_parts(_peo_read_off(adj, [1, 3, 0, 2])) == want
+        assert _sorted_parts(_peo_read_off(adj, [1, 0, 3, 2])) == want
         # 0's later neighbors 1 and 3 are not adjacent
-        assert _peo_min_seps(adj, [0, 1, 2, 3]) is None
+        assert _peo_read_off(adj, [0, 1, 2, 3]) is None
 
     def test_shared_closed_set_is_a_separator(self):
         # the path 0-1-2 eliminated 0, 2, 1: both ends have up-set {1} = C(1)
         adj = list(path_graph(3)._adj)
-        assert _peo_min_seps(adj, [0, 2, 1]) == {0b010}
-        assert _peo_min_seps(adj, [0, 1, 2]) == {0b010}
+        want = ([0b011, 0b110], {0b010})
+        assert _sorted_parts(_peo_read_off(adj, [0, 2, 1])) == want
+        assert _sorted_parts(_peo_read_off(adj, [0, 1, 2])) == want
 
     @settings(max_examples=300, deadline=None)
     @given(graph_masks(max_n=9), st.randoms(use_true_random=False))
@@ -278,19 +295,38 @@ class TestPeoMinSeps:
         n, adj = graph
         order = list(range(n))
         rng.shuffle(order)
-        got = _peo_min_seps(adj, order)
+        got = _peo_read_off(adj, order)
         if not _is_peo(adj, order):
             assert got is None
-        elif n and is_connected(Graph._from_masks(adj)):
-            assert got == _mcs(adj, n)[1]
+        else:
+            assert _sorted_parts(got) == _sorted_parts(mcs_cliques_seps(adj, n))
 
     @settings(max_examples=150, deadline=None)
     @given(graph_masks(max_n=14))
     def test_minfill_result_under_its_own_order(self, graph):
         n, adj = graph
         _, order = _minfill_masks(adj, n)
-        if n and is_connected(Graph._from_masks(adj)):
-            assert _peo_min_seps(adj, order) == _mcs(adj, n)[1]
+        want = _sorted_parts(mcs_cliques_seps(adj, n))
+        assert _sorted_parts(_peo_read_off(adj, order)) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph_masks(max_n=14))
+    def test_chordal_queries_agree_with_mcs(self, graph):
+        n, adj = graph
+        filled = list(adj)
+        rescan_minfill_masks(filled, n)
+        for masks in (adj, filled):
+            g = Graph._from_masks(masks)
+            want = mcs_cliques_seps(masks, n)
+            assert is_chordal(g) == (want is not None)
+            assert _sorted_parts(_chordal_read_off(masks, n)) == _sorted_parts(want)
+            if want is None:
+                with pytest.raises(NotChordalError):
+                    max_cliques_chordal(g)
+                continue
+            assert max_cliques_chordal(g) == sorted(map(vertex_set, want[0]), key=sorted)
+            if n and is_connected(g):
+                assert extract_min_seps_chordal(g) == set(map(vertex_set, want[1]))
 
 
 class TestMinTriSandwich:
@@ -415,9 +451,10 @@ class TestExtenders:
         assert fill == [(3, 7), (4, 9), (6, 13), (8, 9)]
         _sandwich_masks(adj, fill)
         assert len(set(fill) - set(Graph._from_masks(adj).edges())) == 1
-        assert _peo_min_seps(adj, order) is None
+        # min-fill's order is rejected, and the peeling order answers
+        assert _peo_read_off(adj, order) is None
         seps = _extend_blackbox(g, [])
-        assert seps == _mcs(adj, g.n)[1]
+        assert seps == mcs_cliques_seps(adj, g.n)[1]
         assert {frozenset(bits(m)) for m in seps} == _public_pipeline(g, ())
         assert extend_family_blackbox(g, ()) == _public_pipeline(g, ())
 
