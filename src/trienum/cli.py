@@ -12,11 +12,12 @@ at ``--limit`` right after an answer is written.
 Answers are written one per line and flushed immediately, so piping
 into ``head`` or using ``--limit`` stops the enumeration early instead
 of waiting for it to finish. Exit codes: 0 on success, 1 on input
-errors and when memory runs out, 2 on guard violations (disconnected
-input without ``--per-component``, an oversized crossing graph, or a
-bad crossing-graph cap), 130 when interrupted (Ctrl-C), and 141 when
-the reader of stdout goes away (e.g. ``| head``). None of them prints
-a traceback.
+errors, when memory runs out and when stdout cannot be written (a
+full disk), 2 on guard violations (disconnected input without
+``--per-component``, an oversized crossing graph, or a bad
+crossing-graph cap), 130 when interrupted (Ctrl-C), and 141 when the
+reader of stdout goes away (e.g. ``| head``). None of them prints a
+traceback.
 """
 
 from __future__ import annotations
@@ -304,13 +305,17 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 1
-    except BrokenPipeError:
-        # nobody reads stdout any more; send what is still buffered to
-        # the null device so the interpreter's last flush cannot fail
+    except OSError as exc:
+        # stdout takes no more (its reader went away, or the disk is
+        # full); send what is still buffered to the null device so the
+        # interpreter's last flush cannot fail
+        closed = isinstance(exc, BrokenPipeError)
+        if not closed:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        return EXIT_BROKEN_PIPE
+        return EXIT_BROKEN_PIPE if closed else 1
 
 
 def _main(argv: list[str] | None) -> int:

@@ -4,13 +4,12 @@ Adjacency is stored as one integer bitmask per vertex, which keeps the
 set algebra used by the enumeration machinery cheap even in pure
 Python. Public functions accept and return ``frozenset`` vertex sets;
 the mask layer is package-internal.
+The module ends at the chordal read-off (maximal cliques and minimal
+separators); clique graphs and clique trees live in `treedecomp`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 VertexSet = frozenset[int]
@@ -130,18 +129,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edges()!r})"
-
-
-@dataclass(frozen=True)
-class CliqueTree:
-    """Tree over the maximal cliques of a chordal graph.
-
-    ``edges`` holds (i, j, weight) triples where weight is the size of
-    the intersection of bags i and j.
-    """
-
-    bags: tuple[VertexSet, ...]
-    edges: tuple[tuple[int, int, int], ...]
 
 
 def _check_subset(g: Graph, U: Iterable[int]) -> int:
@@ -337,84 +324,3 @@ def _max_clique_masks(h: Graph) -> list[int]:
 def max_cliques_chordal(h: Graph) -> list[VertexSet]:
     """All maximal cliques of a chordal graph, canonically ordered."""
     return [vertex_set(m) for m in _max_clique_masks(h)]
-
-
-def _intersection_weights(masks: Sequence[int]) -> list[tuple[int, int, int]]:
-    """(i, j, |masks[i] & masks[j]|) for every pair i < j, weight-0
-    pairs included."""
-    k = len(masks)
-    return [
-        (i, j, (masks[i] & masks[j]).bit_count())
-        for i in range(k)
-        for j in range(i + 1, k)
-    ]
-
-
-def clique_tree(h: Graph) -> CliqueTree:
-    """A maximum-weight spanning tree of the clique intersection graph.
-
-    Edge weights are intersection sizes; for a connected chordal graph
-    the result is a tree decomposition of h (junction tree).
-    """
-    if not is_connected(h):
-        raise DisconnectedGraphError("clique_tree requires a connected graph")
-    masks = _max_clique_masks(h)
-    tree, _groups = _max_spanning_tree(len(masks), _intersection_weights(masks))
-    return CliqueTree(bags=tuple(vertex_set(m) for m in masks), edges=tuple(tree))
-
-
-LevelGroup = tuple[int, list[tuple[int, int, int, int]]]
-
-
-def _max_spanning_tree(
-    k: int, edges: Iterable[tuple[int, int, int]]
-) -> tuple[list[tuple[int, int, int]], list[LevelGroup]]:
-    """Kruskal over nodes 0..k-1, one weight level at a time.
-
-    Edges are tried heaviest first, ties broken by (i, j). Returns the
-    (i, j, weight) edges of a maximum-weight spanning tree in the order
-    taken, and the groups that every such tree is assembled from. For
-    each weight w, every maximum-weight spanning tree joins the
-    components of the edges heavier than w alike: among the edges of
-    weight w it takes a spanning tree of the multigraph they form on
-    those components. There is one group per component of that
-    multigraph: its node count r and its edges as (i, j, a, b), where
-    a, b in 0..r-1 number the components that edge (i, j) joins. Edges
-    inside one component are in no group. The pass stops after the
-    level that leaves one component.
-    """
-    # the sort is stable, also in reverse
-    ordered = sorted(sorted(edges), key=itemgetter(2), reverse=True)
-    parent = list(range(k))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    tree: list[tuple[int, int, int]] = []
-    groups: list[LevelGroup] = []
-    for w, level in groupby(ordered, key=itemgetter(2)):
-        if len(tree) == k - 1:
-            break
-        cross = []
-        for i, j, _w in level:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                cross.append((i, j, ri, rj))
-        for i, j, ri, rj in cross:
-            a, b = find(ri), find(rj)
-            if a != b:
-                parent[a] = b
-                tree.append((i, j, w))
-        # per new component: an id for each old one, and the edges
-        by_root: dict[int, tuple[dict[int, int], list]] = {}
-        for i, j, ri, rj in cross:
-            ids, group = by_root.setdefault(find(ri), ({}, []))
-            a = ids.setdefault(ri, len(ids))
-            group.append((i, j, a, ids.setdefault(rj, len(ids))))
-        groups += [(len(ids), group) for ids, group in by_root.values()]
-    if len(tree) < k - 1:
-        raise DisconnectedGraphError("weighted graph is not connected")
-    return tree, groups

@@ -7,12 +7,18 @@ bags gives a minimal triangulation whose maximal cliques are precisely
 the bags. Proper decompositions are enumerated one minimal
 triangulation at a time, as the maximum-weight spanning trees of the
 triangulation's clique intersection graph.
+
+Every clique-tree decision is made here: the bag order, the Kruskal
+tie order and the weight levels. One union-find, ``_find``, serves the
+level pass and the spanning-tree branching alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import groupby
+from operator import itemgetter
+from typing import Iterable, Iterator
 
 from .graph import (
     DisconnectedGraphError,
@@ -20,10 +26,7 @@ from .graph import (
     GraphError,
     VertexSet,
     _component,
-    _intersection_weights,
     _max_clique_masks,
-    _max_spanning_tree,
-    bits,
     is_connected,
     mask_of,
     max_cliques_chordal,
@@ -52,6 +55,18 @@ class WeightedCliqueGraph:
     always exist)."""
 
     nodes: tuple[VertexSet, ...]
+    edges: tuple[tuple[int, int, int], ...]
+
+
+@dataclass(frozen=True)
+class CliqueTree:
+    """Tree over the maximal cliques of a chordal graph.
+
+    ``edges`` holds (i, j, weight) triples where weight is the size of
+    the intersection of bags i and j, in ascending (i, j) order.
+    """
+
+    bags: tuple[VertexSet, ...]
     edges: tuple[tuple[int, int, int], ...]
 
 
@@ -131,10 +146,80 @@ def clique_graph(h: Graph) -> WeightedCliqueGraph:
     if not is_connected(h):
         raise DisconnectedGraphError("clique_graph requires a connected graph")
     masks = _max_clique_masks(h)
-    return WeightedCliqueGraph(
-        nodes=tuple(vertex_set(m) for m in masks),
-        edges=tuple(_intersection_weights(masks)),
-    )
+    k = len(masks)
+    edges = [
+        (i, j, (masks[i] & masks[j]).bit_count()) for i in range(k) for j in range(i + 1, k)
+    ]
+    return WeightedCliqueGraph(tuple(vertex_set(m) for m in masks), tuple(edges))
+
+
+def clique_tree(h: Graph) -> CliqueTree:
+    """A maximum-weight spanning tree of the clique intersection graph.
+
+    Edge weights are intersection sizes; for a connected chordal graph
+    the result is a tree decomposition of h (junction tree). It is the
+    first tree `enum_max_spanning_trees` emits: the Kruskal tree.
+    """
+    wg = clique_graph(h)
+    bags = wg.nodes
+    tree = next(enum_max_spanning_trees(wg))
+    return CliqueTree(bags, tuple((i, j, len(bags[i] & bags[j])) for i, j in tree))
+
+
+def _find(parent: list[int], x: int) -> int:
+    """The root of x in the union-find forest ``parent``. There is no
+    path compression, so a union is undone by making the root it hung
+    below the other one a root again."""
+    while parent[x] != x:
+        x = parent[x]
+    return x
+
+
+LevelGroup = tuple[int, list[tuple[int, int, int, int]]]
+
+
+def _level_groups(k: int, edges: Iterable[tuple[int, int, int]]) -> list[LevelGroup]:
+    """Kruskal over nodes 0..k-1, one weight level at a time.
+
+    Edges are tried heaviest first, ties broken by (i, j). Returns the
+    groups that every maximum-weight spanning tree is assembled from.
+    For each weight w, every maximum-weight spanning tree joins the
+    components of the edges heavier than w alike: among the edges of
+    weight w it takes a spanning tree of the multigraph they form on
+    those components. There is one group per component of that
+    multigraph: its node count r and its edges as (i, j, a, b), where
+    a, b in 0..r-1 number the components that edge (i, j) joins. Edges
+    inside one component are in no group. The pass stops after the
+    level that leaves one component.
+    """
+    # the sort is stable, also in reverse
+    ordered = sorted(sorted(edges), key=itemgetter(2), reverse=True)
+    parent = list(range(k))
+    joins = 0
+    groups: list[LevelGroup] = []
+    for _w, level in groupby(ordered, key=itemgetter(2)):
+        if joins == k - 1:
+            break
+        cross = []
+        for i, j, _ in level:
+            ri, rj = _find(parent, i), _find(parent, j)
+            if ri != rj:
+                cross.append((i, j, ri, rj))
+        for _i, _j, ri, rj in cross:
+            a, b = _find(parent, ri), _find(parent, rj)
+            if a != b:
+                parent[b] = a
+                joins += 1
+        # per new component: an id for each old one, and the edges
+        by_root: dict[int, tuple[dict[int, int], list]] = {}
+        for i, j, ri, rj in cross:
+            ids, group = by_root.setdefault(_find(parent, ri), ({}, []))
+            a = ids.setdefault(ri, len(ids))
+            group.append((i, j, a, ids.setdefault(rj, len(ids))))
+        groups += [(len(ids), group) for ids, group in by_root.values()]
+    if joins < k - 1:
+        raise DisconnectedGraphError("weighted graph is not connected")
+    return groups
 
 
 def _spanning_trees(
@@ -168,40 +253,35 @@ def _spanning_trees(
 
     for _i, _j, a, b in edges:
         shift(a, b, 1)
-    comp = [1 << v for v in range(r)]  # component masks of the taken edges
+    parent = list(range(r))  # union-find forest of the taken edges
     taken: list[tuple[int, int]] = []
-    # per decision: (p, the two merged component masks) when edge p was
-    # taken, or (p, 0, 0) when it was left out
-    stack: list[tuple[int, int, int]] = []
+    # per decision: (p, the root that edge p hung below the other) when
+    # edge p was taken, or (p, -1) when it was left out
+    stack: list[tuple[int, int]] = []
     p = 0
     while True:
         while len(taken) < r - 1:
             i, j, a, b = edges[p]
-            if not comp[a] >> b & 1:
-                ma, mb = comp[a], comp[b]
-                merged = ma | mb
-                for v in bits(merged):
-                    comp[v] = merged
-                stack.append((p, ma, mb))
+            ra, rb = _find(parent, a), _find(parent, b)
+            if ra != rb:
+                parent[rb] = ra
+                stack.append((p, rb))
                 taken.append((i, j))
             p += 1
         yield tuple(taken)
         while True:
             if not stack:
                 return
-            p, ma, mb = stack.pop()
+            p, root = stack.pop()
             _i, _j, a, b = edges[p]
-            if not ma:
+            if root < 0:
                 shift(a, b, 1)
                 continue
-            for v in bits(ma):
-                comp[v] = ma
-            for v in bits(mb):
-                comp[v] = mb
+            parent[root] = root
             taken.pop()
             shift(a, b, -1)
             if _component(adj, full, 1 << a)[0] >> b & 1:
-                stack.append((p, 0, 0))
+                stack.append((p, -1))
                 p += 1
                 break
             shift(a, b, 1)
@@ -215,21 +295,23 @@ def enum_max_spanning_trees(
     The maximum-weight spanning trees are a product over the weight
     levels: at each weight, every such tree joins the components of the
     heavier edges alike, by a spanning tree of the multigraph that the
-    level's edges form on them. One Kruskal pass (`_max_spanning_tree`)
+    level's edges form on them. One Kruskal pass (`_level_groups`)
     finds these level groups; a group with a single spanning tree is
     fixed, and the others are enumerated lazily by `_spanning_trees`
     and combined like an odometer, the last group changing fastest. The
     delay is polynomial and no past tree is remembered. The first tree
     is the Kruskal tree; trees are emitted as canonically sorted edge
-    tuples.
+    tuples. Every edge (i, j, weight) must have 0 <= i < j < k for the k
+    nodes, and no pair may repeat.
     """
     k = len(wg.nodes)
     if k == 0:
         raise GraphError("clique graph has no nodes")
-    _tree, groups = _max_spanning_tree(k, wg.edges)
+    if len({i * k + j for i, j, _w in wg.edges if 0 <= i < j < k}) != len(wg.edges):
+        raise GraphError(f"clique graph edges must be distinct pairs i < j < {k}")
     fixed: list[tuple[int, int]] = []
     factors = []
-    for r, group in groups:
+    for r, group in _level_groups(k, wg.edges):
         if len(group) == r - 1:
             fixed += [(i, j) for i, j, _a, _b in group]
         else:

@@ -44,8 +44,6 @@ from .separators import (
 
 ParallelFamily = frozenset[Separator]
 
-EXTENDERS = ("blackbox", "separator")
-
 
 @dataclass(frozen=True)
 class Triangulation:
@@ -411,6 +409,7 @@ _EXTENDER_IMPL: dict[str, Callable[[Graph, Iterable[int]], set[int]]] = {
     "blackbox": _extend_blackbox,
     "separator": _extend_separator,
 }
+EXTENDERS = tuple(_EXTENDER_IMPL)
 
 
 def separator_graph_instance(g: Graph, extender: str = "blackbox") -> ImplicitGraph:
@@ -468,6 +467,8 @@ def enum_min_triangulations(
     the independent-set engine is saturated into its triangulation. A
     chordal input yields exactly itself, with an empty fill.
     """
+    if g.n < 1:
+        raise GraphError("enum_min_triangulations requires at least one vertex")
     if not is_connected(g):
         raise DisconnectedGraphError("enum_min_triangulations requires a connected graph")
     inst = separator_graph_instance(g, extender)

@@ -256,6 +256,23 @@ def brute_max_cliques(g: Graph) -> set[VertexSet]:
     return out
 
 
+def kruskal_tree(
+    k: int, edges: Sequence[tuple[int, int, int]]
+) -> list[tuple[int, int]]:
+    """The maximum-weight spanning tree of nodes 0..k-1 that Kruskal's
+    algorithm takes when it tries edges heaviest first and ties in
+    (i, j) order, as its sorted (i, j) pairs. Components are tracked as
+    one label per node, relabelled on every join."""
+    label = list(range(k))
+    tree = []
+    for i, j, _w in sorted(edges, key=lambda e: (-e[2], e[0], e[1])):
+        if label[i] != label[j]:
+            old = label[j]
+            label = [label[i] if x == old else x for x in label]
+            tree.append((i, j))
+    return sorted(tree)
+
+
 def _is_clique(adj: Sequence[int], mask: int) -> bool:
     """Whether the vertices of ``mask`` are pairwise adjacent."""
     return all(not mask & ~adj[a] & ~(1 << a) for a in bits(mask))

@@ -313,6 +313,24 @@ class TestProcessBoundary:
         assert proc.returncode == 141
         assert err == b""
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_disk_exits_one(self):
+        env = {**os.environ}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-c", CLI, "minseps"],
+                input=b"a b\nb c\n",
+                stdout=full,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=60,
+            )
+        assert proc.returncode == 1
+        lines = proc.stderr.decode().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: cannot write output: ")
+
     def test_interrupt_exits_quietly(self, tmp_path):
         proc = spawn_cli(["triangulations", write_cycle(tmp_path, 12), "--format", "dimacs"])
         proc.stdout.readline()

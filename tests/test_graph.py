@@ -27,6 +27,7 @@ from trienum import (
     neighborhood,
     saturate,
     saturate_family,
+    triangulate_heuristic,
 )
 from trienum.graph import _components_masks
 from trienum.treedecomp import TreeDecomposition, is_tree_decomposition
@@ -38,7 +39,7 @@ from conftest import (
     path_graph,
     random_connected_graph,
 )
-from oracle import brute_is_chordal, brute_max_cliques, brute_min_seps
+from oracle import brute_is_chordal, brute_max_cliques, brute_min_seps, kruskal_tree
 
 
 @st.composite
@@ -366,9 +367,22 @@ class TestCliqueTree:
         with pytest.raises(DisconnectedGraphError):
             clique_tree(Graph(3, [(0, 1)]))
 
-    def test_is_a_tree_decomposition_of_its_graph(self):
-        from trienum import triangulate_heuristic
+    def test_edges_are_the_kruskal_tree_in_pair_order(self):
+        rng = random.Random(4243)
+        for _ in range(60):
+            h = triangulate_heuristic(
+                random_connected_graph(rng.randint(2, 9), rng.choice([0.3, 0.5]), rng)
+            )
+            tree = clique_tree(h)
+            weighted = [
+                (i, j, len(tree.bags[i] & tree.bags[j]))
+                for i, j in itertools.combinations(range(len(tree.bags)), 2)
+            ]
+            expected = kruskal_tree(len(tree.bags), weighted)
+            assert [(i, j) for i, j, _w in tree.edges] == expected
+            assert all((i, j, w) in weighted for i, j, w in tree.edges)
 
+    def test_is_a_tree_decomposition_of_its_graph(self):
         rng = random.Random(4242)
         for _ in range(80):
             n = rng.randint(2, 8)

@@ -1,5 +1,6 @@
 """Static checks on the package source: no dead imports, no dead
-helpers, no docstring that names a private helper that is gone.
+helpers, no docstring that names a private helper that is gone, and a
+package ``__all__`` that lists exactly what the package imports.
 
 The scans read ``src/trienum/*.py`` with ``ast``; nothing is imported.
 """
@@ -97,3 +98,23 @@ def test_docstrings_name_only_defined_private_helpers():
         if not ref.startswith("__") and ref not in defined
     ]
     assert stale == []
+
+
+def test_package_all_lists_its_imports():
+    tree = _modules()["__init__.py"]
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    exported = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+    )
+    names = [ast.literal_eval(element) for element in exported.elts]
+    assert names == sorted(names)
+    assert len(names) == len(set(names))
+    assert set(names) == set(imported)

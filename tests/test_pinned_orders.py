@@ -23,7 +23,7 @@ from trienum import (
     find_min_sep,
 )
 
-from conftest import cycle_graph, ladder_graph, random_connected_graph
+from conftest import cycle_graph, ladder_graph, random_connected_graph, star_graph
 
 
 def _digest(rows):
@@ -84,9 +84,10 @@ def _triangulation_rows(g, limit, extender="blackbox"):
     ]
 
 
-def _treedecomp_rows(g):
+def _treedecomp_rows(g, extender="blackbox"):
     return [
-        (tuple(tuple(sorted(b)) for b in d.bags), d.edges) for d in enum_proper_tds(g)
+        (tuple(tuple(sorted(b)) for b in d.bags), d.edges)
+        for d in enum_proper_tds(g, extender)
     ]
 
 
@@ -145,3 +146,26 @@ def test_ladder_tree_decompositions():
     assert _digest(rows) == (
         "1f5f933ff0a658268b1dc36b51f88d3fe3869e95233fc8b8d6f05373cb186985"
     )
+
+
+def test_star_tree_decompositions():
+    # one triangulation whose clique graph is K5 on one weight level:
+    # 5**3 spanning trees from the include/exclude branching
+    rows = _treedecomp_rows(star_graph(5))
+    assert len(rows) == 125
+    assert _digest(rows) == (
+        "4815499bf8c29d569cba8d8686773b34fd5c38ccb0d970b8e21d8a0fa320a7e1"
+    )
+
+
+def test_random_graph_tree_decompositions():
+    # 14 triangulations, 5 of them with two or more level groups that
+    # have several spanning trees each
+    g = random_connected_graph(12, 0.3, random.Random(3))
+    for extender, digest in (
+        ("blackbox", "7cf2a4ce813961810271a43862f091df5c867fbc91d92941aca5d93b1c366ffe"),
+        ("separator", "51afaa530aaab3af39cb6ad196fd99d16d49bbb7ce2c443be1c3977f27738065"),
+    ):
+        rows = _treedecomp_rows(g, extender)
+        assert len(rows) == 246
+        assert _digest(rows) == digest

@@ -26,7 +26,7 @@ from trienum import (
     subsumes,
     triangulate_heuristic,
 )
-from trienum.graph import _max_spanning_tree
+from trienum.treedecomp import _level_groups
 
 from conftest import (
     all_connected_graphs,
@@ -36,7 +36,7 @@ from conftest import (
     random_connected_graph,
     star_graph,
 )
-from oracle import brute_min_triangulations
+from oracle import brute_min_triangulations, kruskal_tree
 
 
 def _td(g, bags, edges):
@@ -276,7 +276,7 @@ class TestEnumMaxSpanningTrees:
             got = list(enum_max_spanning_trees(wg))
             assert len(got) == len(set(got))
             assert set(got) == _brute_spanning_trees(wg)
-            _tree, groups = _max_spanning_tree(k, wg.edges)
+            groups = _level_groups(k, wg.edges)
             if sum(len(group) > r - 1 for r, group in groups) >= 2:
                 several_tied_levels += 1
             positive = Graph(k, [(i, j) for i, j, w in wg.edges if w > 0])
@@ -295,9 +295,8 @@ class TestEnumMaxSpanningTrees:
         rng = random.Random(8)
         for _ in range(40):
             wg = _random_weighted_graph(rng.randint(1, 7), rng)
-            tree, _groups = _max_spanning_tree(len(wg.nodes), wg.edges)
             first = next(enum_max_spanning_trees(wg))
-            assert first == tuple(sorted((i, j) for i, j, _w in tree))
+            assert first == tuple(kruskal_tree(len(wg.nodes), wg.edges))
 
     def test_star_k16_cayley_count(self):
         trees = list(enum_max_spanning_trees(clique_graph(star_graph(6))))
@@ -322,6 +321,16 @@ class TestEnumMaxSpanningTrees:
         )
         with pytest.raises((DisconnectedGraphError, GraphError)):
             list(enum_max_spanning_trees(wg))
+
+    @pytest.mark.parametrize(
+        "edges",
+        [((0, 5, 1),), ((0, -1, 1),), ((0, 1, 1), (0, 1, 1)), ((1, 0, 1),)],
+        ids=["out-of-range", "negative", "repeated-pair", "reversed-pair"],
+    )
+    def test_rejects_malformed_edges(self, edges):
+        wg = WeightedCliqueGraph(nodes=(frozenset({0}), frozenset({1})), edges=edges)
+        with pytest.raises(GraphError, match="distinct pairs"):
+            next(enum_max_spanning_trees(wg))
 
 
 class TestEnumProperTds:
@@ -404,3 +413,7 @@ class TestEnumProperTds:
     def test_disconnected_raises(self):
         with pytest.raises(DisconnectedGraphError):
             list(enum_proper_tds(Graph(3, [(0, 1)])))
+
+    def test_empty_graph_raises_before_any_answer(self):
+        with pytest.raises(GraphError, match="at least one vertex"):
+            next(enum_proper_tds(Graph(0)))

@@ -770,3 +770,7 @@ class TestEnumMinTriangulations:
     def test_disconnected_raises(self):
         with pytest.raises(DisconnectedGraphError):
             list(enum_min_triangulations(Graph(3, [(0, 1)])))
+
+    def test_empty_graph_raises_before_any_answer(self):
+        with pytest.raises(GraphError, match="at least one vertex"):
+            next(enum_min_triangulations(Graph(0)))
