@@ -13,11 +13,11 @@ Answers are written one per line and flushed immediately, so piping
 into ``head`` or using ``--limit`` stops the enumeration early instead
 of waiting for it to finish. Exit codes: 0 on success, 1 on input
 errors, when memory runs out and when stdout cannot be written (a
-full disk), 2 on guard violations (disconnected input without
-``--per-component``, an oversized crossing graph, or a bad
+full disk), 2 on bad flags and guard violations (disconnected input
+without ``--per-component``, an oversized crossing graph, or a bad
 crossing-graph cap), 130 when interrupted (Ctrl-C), and 141 when the
 reader of stdout goes away (e.g. ``| head``). None of them prints a
-traceback.
+traceback or a usage line.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Any, Callable, Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, NoReturn
 
 from .graph import Graph, GraphError, connected_components, induced_subgraph
 from .io import FORMATS, ParseError, parse_graph
@@ -44,6 +44,12 @@ Ids = tuple[int, ...]  # a component's vertex ids in the input graph
 
 class GuardViolation(RuntimeError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        """Exit 2 with one line on stderr, without the usage line."""
+        self.exit(2, f"error: {message}\n")
 
 
 def _fmt_pairs(edges: Iterable[Iterable[int]]) -> str:
@@ -209,7 +215,7 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trienum",
         description="Enumerate minimal separators, minimal triangulations, "
         "and proper tree decompositions of a graph.",

@@ -199,11 +199,13 @@ def neighborhood(g: Graph, U: Iterable[int]) -> VertexSet:
 
 
 def connected_components(g: Graph) -> list[VertexSet]:
+    """The vertex sets of g's connected components, by smallest member."""
     full = (1 << g.n) - 1
     return [vertex_set(comp) for comp, _ in _components_masks(g._adj, full)]
 
 
 def is_connected(g: Graph) -> bool:
+    """True iff g has at most one connected component."""
     full = (1 << g.n) - 1
     return _component(g._adj, full, full & 1)[0] == full
 

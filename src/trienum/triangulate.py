@@ -59,15 +59,29 @@ class Triangulation:
     family: ParallelFamily
 
 
-def _check_family(
-    g: Graph, phi: Iterable[Iterable[int]], verify: bool = True
-) -> ParallelFamily:
-    fam = frozenset(frozenset(s) for s in phi)
+def _check_family(g: Graph, phi: Iterable[Iterable[int]]) -> list[int]:
+    """The masks of a family of pairwise-parallel minimal separators of
+    a connected g, in canonical order: the one check of every public
+    entry point that takes such a family.
+
+    Raises DisconnectedGraphError when g is not connected, and
+    GraphError when a member has a vertex out of range, is not a minimal
+    separator, or crosses another member.
+    """
+    if not is_connected(g):
+        raise DisconnectedGraphError("a separator family needs a connected host graph")
+    fam = sorted({frozenset(s) for s in phi}, key=canon)
+    masks = []
     for s in fam:
-        _check_subset(g, s)
-        if verify and not is_minimal_separator(g, s):
+        masks.append(_check_subset(g, s))
+        if not is_minimal_separator(g, s):
             raise GraphError(f"{sorted(s)} is not a minimal separator of the host")
-    return fam
+    for s, t in combinations(fam, 2):
+        if crosses(g, s, t):
+            raise GraphError(
+                f"separators {sorted(s)} and {sorted(t)} cross; family is not valid"
+            )
+    return masks
 
 
 def _saturated(g: Graph, masks: Iterable[int]) -> list[int]:
@@ -79,9 +93,9 @@ def _saturated(g: Graph, masks: Iterable[int]) -> list[int]:
 
 
 def saturate_family(g: Graph, phi: Iterable[Iterable[int]]) -> Graph:
-    """Saturate every separator of the family in g."""
-    fam = _check_family(g, phi, verify=False)
-    return Graph._from_masks(_saturated(g, map(mask_of, fam)))
+    """Saturate every separator of the family in g. Only the members'
+    vertex ranges are checked."""
+    return Graph._from_masks(_saturated(g, (_check_subset(g, s) for s in phi)))
 
 
 def _minfill_masks(adj: list[int], n: int) -> tuple[list[tuple[int, int]], list[int]]:
@@ -177,12 +191,6 @@ def triangulate_heuristic(g: Graph) -> Graph:
     return Graph._from_masks(adj)
 
 
-def _removable(adj: list[int], u: int, v: int) -> bool:
-    # for chordal h with edge uv: h minus uv stays chordal exactly when
-    # the common neighborhood of u and v is a clique
-    return _is_clique(adj, adj[u] & adj[v])
-
-
 def min_tri_sandwich(g: Graph, g_t: Graph) -> Graph:
     """Shrink a triangulation of g to a minimal one inside it.
 
@@ -209,7 +217,9 @@ def _sandwich_masks(adj: list[int], fill: list[tuple[int, int]]) -> list[int]:
         changed = False
         kept = []
         for u, v in fill:
-            if _removable(adj, u, v):
+            # for chordal h with edge uv: h minus uv stays chordal exactly
+            # when the common neighborhood of u and v is a clique
+            if _is_clique(adj, adj[u] & adj[v]):
                 adj[u] &= ~(1 << v)
                 adj[v] &= ~(1 << u)
                 changed = True
@@ -221,18 +231,12 @@ def _sandwich_masks(adj: list[int], fill: list[tuple[int, int]]) -> list[int]:
 
 def is_minimal_triangulation(g: Graph, h: Graph) -> bool:
     """True iff h is a chordal supergraph of g from which no single fill
-    edge can be removed without breaking chordality."""
-    if h.n != g.n:
+    edge can be removed without breaking chordality: exactly when
+    ``min_tri_sandwich`` accepts h and gives it back unchanged."""
+    try:
+        return min_tri_sandwich(g, h) == h
+    except GraphError:
         return False
-    if any(not h.has_edge(u, v) for u, v in g.edges()):
-        return False
-    if not is_chordal(h):
-        return False
-    adj = list(h._adj)
-    base = set(g.edges())
-    return all(
-        not _removable(adj, u, v) for u, v in h.edges() if (u, v) not in base
-    )
 
 
 def _extend_blackbox(g: Graph, fam: Iterable[int]) -> set[int]:
@@ -262,18 +266,11 @@ def extend_family_blackbox(g: Graph, phi: Iterable[Iterable[int]]) -> ParallelFa
 
     Saturates the family, triangulates the result, reduces to a minimal
     triangulation h, and returns MinSep(h), which contains the input
-    family and is maximal pairwise-parallel in g. A family with two
-    crossing members raises GraphError.
+    family and is maximal pairwise-parallel in g. A family that is not
+    pairwise-parallel minimal separators of a connected g raises
+    GraphError.
     """
-    if not is_connected(g):
-        raise DisconnectedGraphError("extend_family_blackbox requires a connected graph")
-    fam = _check_family(g, phi)
-    for s, t in combinations(sorted(fam, key=canon), 2):
-        if crosses(g, s, t):
-            raise GraphError(
-                f"separators {sorted(s)} and {sorted(t)} cross; family is not valid"
-            )
-    return frozenset(map(vertex_set, _extend_blackbox(g, map(mask_of, fam))))
+    return frozenset(map(vertex_set, _extend_blackbox(g, _check_family(g, phi))))
 
 
 def _split(adj: list[int], piece: int, smask: int) -> list[int]:
@@ -313,6 +310,11 @@ def _split_and_route(
     new piece that contains it. A piece that holds none is split along
     ``choose(adj, piece)`` until that returns 0. Returns the final
     pieces and the boundaries ``N(comp)`` of every split, as masks.
+
+    Nothing is checked: the family is one that ``_check_family``
+    passed or an independent set of the crossing graph, so each member
+    splits its piece and every other member fits in one new piece, and
+    ``_choose_min_sep`` always splits its piece.
     """
     queue: deque[tuple[int, list[int]]] = deque(
         [((1 << len(adj)) - 1, sorted(fam, key=lambda m: tuple(bits(m))))]
@@ -321,34 +323,19 @@ def _split_and_route(
     boundaries: set[int] = set()
     while queue:
         piece, seps = queue.popleft()
-        if seps:
-            smask = seps[0]
-            # members nested inside the split separator stop separating
-            # anything: every pair they split now lies in distinct pieces
-            rest = [t for t in seps if t & ~smask]
-        else:
-            smask = choose(adj, piece) if choose else 0
-            if not smask:
-                done.append(piece)
-                continue
-            rest = []
+        smask = seps[0] if seps else choose(adj, piece) if choose else 0
+        if not smask:
+            done.append(piece)
+            continue
+        # members nested inside the split separator stop separating
+        # anything: every pair they split now lies in distinct pieces
+        rest = [t for t in seps if t & ~smask]
         _saturate(adj, smask)
-        pieces = _split(adj, piece, smask)
-        if len(pieces) <= 1:
-            raise GraphError(
-                f"{list(bits(smask))} does not separate its piece; family is not valid"
-            )
-        unplaced = set(rest)
-        for sub in pieces:
+        for sub in _split(adj, piece, smask):
             # the piece keeps its boundary into the separator as a
             # clique; that boundary is itself a contained separator
             boundaries.add(sub & smask)
-            routed = [t for t in rest if not t & ~sub]
-            unplaced.difference_update(routed)
-            queue.append((sub, routed))
-        if unplaced:
-            missing = sorted(list(bits(t)) for t in unplaced)
-            raise GraphError(f"separators {missing} fit in no piece; family is not valid")
+            queue.append((sub, [t for t in rest if not t & ~sub]))
     return done, boundaries
 
 
@@ -361,12 +348,12 @@ def decompose(
     pending piece, saturates it, splits off ``comp | (N(comp) & piece)``
     for every component of the piece minus it, and routes each remaining
     separator to the piece that contains it. Output pieces carry id maps
-    back to g and contain no member of the family as a separator.
+    back to g and contain no member of the family as a separator. A
+    family that is not pairwise-parallel minimal separators of a
+    connected g raises GraphError; two crossing members name the pair.
     """
-    if not is_connected(g):
-        raise DisconnectedGraphError("decompose requires a connected graph")
     adj = list(g._adj)
-    pieces, _ = _split_and_route(adj, map(mask_of, _check_family(g, phi)))
+    pieces, _ = _split_and_route(adj, _check_family(g, phi))
     h = Graph._from_masks(adj)
     pieces.sort(key=lambda m: tuple(bits(m)))
     return [induced_subgraph(h, bits(piece)) for piece in pieces]
@@ -374,7 +361,9 @@ def decompose(
 
 def _choose_min_sep(adj: list[int], piece: int) -> int:
     # the first non-adjacent pair (u, v) of the piece, separated by the
-    # neighborhood of v's component in the piece minus N(u)
+    # neighborhood of v's component in the piece minus N(u); u is
+    # isolated there and outside that neighborhood, so the split always
+    # puts u and v in different pieces
     for u in bits(piece):
         above = (piece & ~adj[u]) >> (u + 1) << (u + 1)
         if above:
@@ -397,12 +386,11 @@ def extend_family_separator(g: Graph, phi: Iterable[Iterable[int]]) -> ParallelF
     piece, separates it with the neighborhood of v's component in the
     piece minus N(u), a minimal separator close to u, saturates, and
     splits; the neighborhood of each resulting component joins the
-    family. Ends when all pieces are cliques.
+    family. Ends when all pieces are cliques. A family that is not
+    pairwise-parallel minimal separators of a connected g raises
+    GraphError; two crossing members name the pair.
     """
-    if not is_connected(g):
-        raise DisconnectedGraphError("extend_family_separator requires a connected graph")
-    fam = _check_family(g, phi)
-    return frozenset(map(vertex_set, _extend_separator(g, map(mask_of, fam))))
+    return frozenset(map(vertex_set, _extend_separator(g, _check_family(g, phi))))
 
 
 _EXTENDER_IMPL: dict[str, Callable[[Graph, Iterable[int]], set[int]]] = {

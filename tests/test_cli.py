@@ -140,6 +140,25 @@ class TestOutputsAndModes:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["minseps", "--bogus"],
+            ["minseps", "--limit", "0"],
+            ["minseps", "--output", "dot"],
+            ["minseps", "--output", "xml"],
+            [],
+        ],
+    )
+    def test_bad_flag_is_one_stderr_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
     def test_limit_stops_early(self, tmp_path, capsys):
         path = write_cycle(tmp_path, 12)
         started = time.perf_counter()

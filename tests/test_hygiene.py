@@ -1,6 +1,7 @@
 """Static checks on the package source: no dead imports, no dead
-helpers, no docstring that names a private helper that is gone, and a
-package ``__all__`` that lists exactly what the package imports.
+helpers, no docstring that names a private helper that is gone, a
+package ``__all__`` that lists exactly what the package imports, and a
+docstring on every function and class it exports.
 
 The scans read ``src/trienum/*.py`` with ``ast``; nothing is imported.
 """
@@ -100,6 +101,17 @@ def test_docstrings_name_only_defined_private_helpers():
     assert stale == []
 
 
+def _package_all(tree):
+    """The names in ``__all__`` of the package's ``__init__`` tree."""
+    exported = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+    )
+    return [ast.literal_eval(element) for element in exported.elts]
+
+
 def test_package_all_lists_its_imports():
     tree = _modules()["__init__.py"]
     imported = [
@@ -108,13 +120,22 @@ def test_package_all_lists_its_imports():
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     ]
-    exported = next(
-        node.value
-        for node in tree.body
-        if isinstance(node, ast.Assign)
-        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
-    )
-    names = [ast.literal_eval(element) for element in exported.elts]
+    names = _package_all(tree)
     assert names == sorted(names)
     assert len(names) == len(set(names))
     assert set(names) == set(imported)
+
+
+def test_exported_functions_and_classes_have_docstrings():
+    modules = _modules()
+    exported = set(_package_all(modules["__init__.py"]))
+    defs = [
+        (name, node)
+        for name, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name in exported
+    ]
+    assert len(defs) > 40
+    bare = [f"{name}: {node.name}" for name, node in defs if not ast.get_docstring(node)]
+    assert bare == []

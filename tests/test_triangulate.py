@@ -383,6 +383,12 @@ class TestIsMinimalTriangulation:
                     if is_chordal(bigger):
                         assert not is_minimal_triangulation(g, bigger)
 
+    def test_false_on_invalid_inputs(self):
+        # a different vertex count, a missing base edge, a non-chordal h
+        assert is_minimal_triangulation(cycle_graph(4), cycle_graph(5)) is False
+        assert is_minimal_triangulation(cycle_graph(4), path_graph(4)) is False
+        assert is_minimal_triangulation(cycle_graph(4), cycle_graph(4)) is False
+
 
 class TestExtenders:
     def test_c4_empty_family(self):
@@ -612,6 +618,25 @@ class TestDecompose:
     def test_invalid_family_raises(self):
         with pytest.raises(GraphError):
             decompose(cycle_graph(4), _family({0, 1}))
+
+    def test_crossing_family_raises(self):
+        # two minimal separators of C6 that cross
+        with pytest.raises(GraphError, match="family is not valid"):
+            decompose(cycle_graph(6), _family({0, 2}, {1, 3}))
+        rng = random.Random(73)
+        for _ in range(20):
+            g = random_connected_graph(rng.randint(4, 8), rng.choice([0.3, 0.5]), rng)
+            seps = sorted(enum_min_seps(g), key=canon)
+            crossing = [
+                (s, t) for s, t in itertools.combinations(seps, 2) if crosses(g, s, t)
+            ]
+            for s, t in crossing[:3]:
+                with pytest.raises(GraphError, match="family is not valid"):
+                    decompose(g, _family(s, t))
+
+    def test_disconnected_raises(self):
+        with pytest.raises(DisconnectedGraphError):
+            decompose(Graph(3, [(0, 1)]), ())
 
 
 def _connected_avoiding(g, u, v, avoid):
