@@ -13,11 +13,11 @@ Answers are written one per line and flushed immediately, so piping
 into ``head`` or using ``--limit`` stops the enumeration early instead
 of waiting for it to finish. Exit codes: 0 on success, 1 on input
 errors, when memory runs out and when stdout cannot be written (a
-full disk), 2 on bad flags and guard violations (disconnected input
-without ``--per-component``, an oversized crossing graph, or a bad
-crossing-graph cap), 130 when interrupted (Ctrl-C), and 141 when the
-reader of stdout goes away (e.g. ``| head``). None of them prints a
-traceback or a usage line.
+full disk, or stdout closed at start), 2 on bad flags and guard
+violations (disconnected input without ``--per-component``, an
+oversized crossing graph, or a bad crossing-graph cap), 130 when
+interrupted (Ctrl-C), and 141 when the reader of stdout goes away
+(e.g. ``| head``). None of them prints a traceback or a usage line.
 """
 
 from __future__ import annotations
@@ -303,6 +303,10 @@ def _run(args: argparse.Namespace, pieces: list[tuple[Graph, Ids, int | None]]) 
 
 
 def main(argv: list[str] | None = None) -> int:
+    if sys.stdout is None:
+        # started with stdout closed (``>&-``), so Python has no stream
+        print("error: cannot write output: stdout is closed", file=sys.stderr)
+        return 1
     try:
         return _main(argv)
     except KeyboardInterrupt:

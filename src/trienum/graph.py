@@ -264,13 +264,13 @@ def _peel(adj: Sequence[int], n: int) -> tuple[list[int], int]:
 
 def _peo_read_off(
     adj: Sequence[int], order: Sequence[int]
-) -> tuple[list[int], set[int]] | None:
+) -> tuple[list[int], set[int]]:
     """The maximal cliques and the minimal separators of a chordal graph,
-    read off a perfect elimination ordering, as masks; None when
-    ``order`` is not one.
+    read off a perfect elimination ordering, as masks.
 
-    Walks the order backwards. Each vertex x has up(x), its neighbors
-    later in the order, which must be a clique, and its closed set
+    ``order`` must be one: a complete ``_peel`` or ``_minfill_masks``
+    made it. Walks the order backwards. Each vertex x has up(x), its
+    neighbors later in the order, a clique, and its closed set
     C(x) = x | up(x). If up(x) = C(y) for some y, then y is x's first
     later neighbor and x continues the clique that C(y) grows into, so
     C(y) is not maximal and up(x) is no clique-tree edge. Every C(y)
@@ -287,10 +287,7 @@ def _peo_read_off(
     for x in reversed(order):
         up = adj[x] & later
         taken = closed.get(up)
-        # a C(y) is a clique, since up(y) passed this check
         if taken is None:
-            if not _is_clique(adj, up):
-                return None
             if up:
                 seps.add(up)
         elif taken:
@@ -303,11 +300,14 @@ def _peo_read_off(
     return [c for c, taken in closed.items() if not taken], seps
 
 
-def _chordal_read_off(adj: Sequence[int], n: int) -> tuple[list[int], set[int]] | None:
+def _chordal_read_off(adj: Sequence[int], n: int) -> tuple[list[int], set[int]]:
     """The maximal cliques and the minimal separators, as masks, read off
-    the peeling order; None when the graph is not chordal."""
+    the peeling order. Raises NotChordalError when the peel leaves
+    vertices, that is, when the graph is not chordal."""
     order, left = _peel(adj, n)
-    return None if left else _peo_read_off(adj, order)
+    if left:
+        raise NotChordalError("input graph is not chordal")
+    return _peo_read_off(adj, order)
 
 
 def is_chordal(g: Graph) -> bool:
@@ -317,10 +317,7 @@ def is_chordal(g: Graph) -> bool:
 
 
 def _max_clique_masks(h: Graph) -> list[int]:
-    parts = _chordal_read_off(h._adj, h.n)
-    if parts is None:
-        raise NotChordalError("input graph is not chordal")
-    return sorted(parts[0], key=lambda m: tuple(bits(m)))
+    return sorted(_chordal_read_off(h._adj, h.n)[0], key=lambda m: tuple(bits(m)))
 
 
 def max_cliques_chordal(h: Graph) -> list[VertexSet]:

@@ -2,7 +2,9 @@
 
 External labels are mapped to dense 0-based ids at ingestion; the label
 table (new id -> original label) is returned alongside the graph so
-callers can translate answers back.
+callers can translate answers back. In an edge list, a line whose
+first non-blank character is ``#`` is a comment; a ``#`` after that is
+part of a label, since labels are arbitrary tokens.
 """
 
 from __future__ import annotations

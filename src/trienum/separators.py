@@ -19,7 +19,6 @@ from .graph import (
     DisconnectedGraphError,
     Graph,
     GraphError,
-    NotChordalError,
     VertexSet,
     _check_subset,
     _chordal_read_off,
@@ -150,10 +149,7 @@ def extract_min_seps_chordal(h: Graph) -> set[Separator]:
     (Blair & Peyton 1993)."""
     if not is_connected(h):
         raise DisconnectedGraphError("extract_min_seps_chordal requires a connected graph")
-    parts = _chordal_read_off(h._adj, h.n)
-    if parts is None:
-        raise NotChordalError("input graph is not chordal")
-    return {vertex_set(m) for m in parts[1]}
+    return {vertex_set(m) for m in _chordal_read_off(h._adj, h.n)[1]}
 
 
 def clq_min_seps(g: Graph) -> set[Separator]:

@@ -104,11 +104,11 @@ def _minfill_masks(adj: list[int], n: int) -> tuple[list[tuple[int, int]], list[
     Mutates ``adj`` into a chordal supergraph and returns the added
     edges, sorted, and the elimination order: the peeled vertices, then
     the rest. Ties on fill count break toward the smallest id. The order
-    is a perfect elimination ordering of the result: each vertex's
-    neighbors that go after it were saturated when it went, and no edge
-    is ever added at a vertex that has gone. The blackbox extender reads
-    MinSep off it with ``_peo_read_off``, and peels the graph again when
-    the sandwich step has removed an edge that the order needs.
+    is a perfect elimination ordering of the result by construction:
+    each vertex's neighbors that go after it were saturated when it
+    went, and no edge is ever added at a vertex that has gone. The
+    blackbox extender reads MinSep off it with ``_peo_read_off`` when the
+    sandwich step keeps every fill edge.
 
     Runs in two phases that add exactly the edges of the plain rescan.
     First ``_peel`` removes every vertex that repeated simplicial
@@ -206,12 +206,15 @@ def min_tri_sandwich(g: Graph, g_t: Graph) -> Graph:
             raise GraphError(f"g_t is missing base edge ({u}, {v})")
     if not is_chordal(g_t):
         raise GraphError("g_t is not chordal")
-    return Graph._from_masks(
-        _sandwich_masks(list(g_t._adj), sorted(set(g_t.edges()) - set(g.edges())))
-    )
+    adj = list(g_t._adj)
+    _sandwich_masks(adj, sorted(set(g_t.edges()) - set(g.edges())))
+    return Graph._from_masks(adj)
 
 
-def _sandwich_masks(adj: list[int], fill: list[tuple[int, int]]) -> list[int]:
+def _sandwich_masks(
+    adj: list[int], fill: list[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """Drop the removable fill edges from chordal ``adj``; return the rest."""
     changed = True
     while changed:
         changed = False
@@ -226,7 +229,7 @@ def _sandwich_masks(adj: list[int], fill: list[tuple[int, int]]) -> list[int]:
             else:
                 kept.append((u, v))
         fill = kept
-    return adj
+    return fill
 
 
 def is_minimal_triangulation(g: Graph, h: Graph) -> bool:
@@ -243,22 +246,17 @@ def _extend_blackbox(g: Graph, fam: Iterable[int]) -> set[int]:
     """MinSep of the minimal triangulation that min-fill and the sandwich
     step make of g with the family's masks saturated, as masks.
 
-    The separators are read off min-fill's elimination order, walked
-    backwards: each vertex's later neighbors up(x) must be a clique, and
-    MinSep is every nonzero up(x) that is not C(y) = y | up(y) for any
-    y, plus every C(y) that is the up-set of two or more vertices. The
-    sandwich step can drop a fill edge between two later neighbors of a
-    vertex, and then the order is no longer perfect; the graph is then
-    peeled again and the same walk reads the peeling order, which
-    raises if the graph is not chordal.
+    When the sandwich step keeps every fill edge, the graph is min-fill's
+    result and its elimination order is perfect, so ``_peo_read_off``
+    walks it. A dropped fill edge may have joined two later neighbors of
+    a vertex, so then the graph is peeled again and its peeling order is
+    walked instead; a result that is not chordal raises NotChordalError.
     """
     adj = _saturated(g, fam)
     fill, order = _minfill_masks(adj, g.n)
-    _sandwich_masks(adj, fill)
-    parts = _peo_read_off(adj, order) or _chordal_read_off(adj, g.n)
-    if parts is None:
-        raise GraphError("internal: expected a chordal graph")
-    return parts[1]
+    if len(_sandwich_masks(adj, fill)) == len(fill):
+        return _peo_read_off(adj, order)[1]
+    return _chordal_read_off(adj, g.n)[1]
 
 
 def extend_family_blackbox(g: Graph, phi: Iterable[Iterable[int]]) -> ParallelFamily:

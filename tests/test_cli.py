@@ -350,6 +350,28 @@ class TestProcessBoundary:
         assert len(lines) == 1
         assert lines[0].startswith("error: cannot write output: ")
 
+    def test_closed_stdout_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", None)
+        code = main(["minseps", "--format", "json"])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert lines == ["error: cannot write output: stdout is closed"]
+
+    def test_closed_stdout_exits_one_from_a_shell(self, tmp_path):
+        env = {**os.environ}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        path = write_cycle(tmp_path, 5)
+        script = '"$0" -m trienum minseps "$1" --format dimacs >&-'
+        proc = subprocess.run(
+            ["sh", "-c", script, sys.executable, path],
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.decode().splitlines()
+        assert lines == ["error: cannot write output: stdout is closed"]
+
     def test_interrupt_exits_quietly(self, tmp_path):
         proc = spawn_cli(["triangulations", write_cycle(tmp_path, 12), "--format", "dimacs"])
         proc.stdout.readline()

@@ -1,7 +1,8 @@
 """Static checks on the package source: no dead imports, no dead
 helpers, no docstring that names a private helper that is gone, a
-package ``__all__`` that lists exactly what the package imports, and a
-docstring on every function and class it exports.
+package ``__all__`` that lists exactly what the package imports, a
+docstring on every function and class it exports, and no syntax newer
+than the Python floor that ``pyproject.toml`` declares.
 
 The scans read ``src/trienum/*.py`` with ``ast``; nothing is imported.
 """
@@ -10,6 +11,8 @@ import ast
 import re
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "trienum"
 
@@ -139,3 +142,15 @@ def test_exported_functions_and_classes_have_docstrings():
     assert len(defs) > 40
     bare = [f"{name}: {node.name}" for name, node in defs if not ast.get_docstring(node)]
     assert bare == []
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    floor = (3, 10)
+    pyproject = (SRC.parents[1] / "pyproject.toml").read_text()
+    assert 'requires-python = ">=3.10"' in pyproject
+    newer = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    # the scan catches what the floor cannot run, such as except*
+    with pytest.raises(SyntaxError):
+        ast.parse(newer, feature_version=floor)
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=floor)

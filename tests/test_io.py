@@ -70,6 +70,15 @@ class TestEdgelist:
         g, _ = parse_graph("# heading\nx y\n", "edgelist")
         assert g.edge_count == 1
 
+    def test_hash_only_starts_a_comment_line(self):
+        # a # after a label is no comment: it is a token of its own or part
+        # of a label
+        with pytest.raises(ParseError, match=r"^line 1: expected two labels"):
+            parse_graph("a b # note\n", "edgelist")
+        g, labels = parse_graph("  # indented\nx #3\n", "edgelist")
+        assert labels == ["x", "#3"]
+        assert g.edges() == [(0, 1)]
+
     def test_self_loop(self):
         with pytest.raises(ParseError, match="line 1.*self-loop"):
             parse_graph("a a\n", "edgelist")

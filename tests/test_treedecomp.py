@@ -26,6 +26,7 @@ from trienum import (
     subsumes,
     triangulate_heuristic,
 )
+from trienum import treedecomp, triangulate
 from trienum.treedecomp import _level_groups
 
 from conftest import (
@@ -417,3 +418,52 @@ class TestEnumProperTds:
     def test_empty_graph_raises_before_any_answer(self):
         with pytest.raises(GraphError, match="at least one vertex"):
             next(enum_proper_tds(Graph(0)))
+
+    @pytest.mark.parametrize("extender", ["blackbox", "separator"])
+    def test_calls_the_names_the_tracer_rebinds(self, extender, monkeypatch):
+        # bench/tracing.py times each layer by rebinding these module-level
+        # names, so a call that goes around one would leave its layer empty
+        called = set()
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                called.add(name)
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("enum_min_seps", "crosses", "saturate_family"):
+            count(triangulate, name)
+        for name in (
+            "enum_min_triangulations",
+            "clique_graph",
+            "enum_max_spanning_trees",
+        ):
+            count(treedecomp, name)
+        make_instance = triangulate.separator_graph_instance
+        engine = triangulate.enum_max_independent
+
+        # the tracer's replacements, with the signatures it gives them
+        def separator_graph_instance(g, extender="blackbox"):
+            called.add("separator_graph_instance")
+            return make_instance(g, extender)
+
+        def enum_max_independent(inst, stats=None, hook=None, check_invariants=False):
+            called.add("enum_max_independent")
+            return engine(inst, stats=stats, hook=hook, check_invariants=check_invariants)
+
+        for fn in (separator_graph_instance, enum_max_independent):
+            monkeypatch.setattr(triangulate, fn.__name__, fn)
+        assert sum(1 for _ in enum_proper_tds(cycle_graph(5), extender=extender)) == 5
+        assert called == {
+            "enum_min_seps",
+            "crosses",
+            "separator_graph_instance",
+            "enum_max_independent",
+            "saturate_family",
+            "enum_min_triangulations",
+            "clique_graph",
+            "enum_max_spanning_trees",
+        }

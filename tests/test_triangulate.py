@@ -33,7 +33,14 @@ from trienum import (
     triangulate_heuristic,
 )
 from trienum import triangulate
-from trienum.graph import _chordal_read_off, _peo_read_off, bits, mask_of, vertex_set
+from trienum.graph import (
+    _chordal_read_off,
+    _peel,
+    _peo_read_off,
+    bits,
+    mask_of,
+    vertex_set,
+)
 from trienum.triangulate import (
     _extend_blackbox,
     _minfill_masks,
@@ -113,8 +120,8 @@ def _random_peo(adj, n, rng):
 
 
 def _sorted_parts(parts):
-    """A (cliques, separators) read-off with the cliques sorted, or None."""
-    return parts and (sorted(parts[0]), parts[1])
+    """A (cliques, separators) read-off with the cliques sorted."""
+    return sorted(parts[0]), parts[1]
 
 
 def _engine_extender_calls(g, answers):
@@ -248,6 +255,25 @@ class TestMinfillMasks:
             _assert_minfill_matches_rescan(_saturated(g, map(mask_of, fam)), g.n)
 
 
+class TestPeel:
+    """Repeated simplicial elimination, whose order the read-off trusts."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph_masks(max_n=14))
+    def test_order_is_a_peo_exactly_on_chordal_graphs(self, graph):
+        n, adj = graph
+        filled = list(adj)
+        _minfill_masks(filled, n)
+        for masks in (adj, filled):
+            order, left = _peel(masks, n)
+            assert len(set(order)) == len(order)
+            assert mask_of(order) & left == 0
+            assert mask_of(order) | left == (1 << n) - 1
+            assert (left == 0) == (mcs_cliques_seps(masks, n) is not None)
+            if not left:
+                assert _is_peo(masks, order)
+
+
 class TestPeoMinSeps:
     """Cliques and MinSep read off an elimination order, against MCS and
     brute force."""
@@ -279,8 +305,6 @@ class TestPeoMinSeps:
         want = ([0b0111, 0b1101], {0b0101})
         assert _sorted_parts(_peo_read_off(adj, [1, 3, 0, 2])) == want
         assert _sorted_parts(_peo_read_off(adj, [1, 0, 3, 2])) == want
-        # 0's later neighbors 1 and 3 are not adjacent
-        assert _peo_read_off(adj, [0, 1, 2, 3]) is None
 
     def test_shared_closed_set_is_a_separator(self):
         # the path 0-1-2 eliminated 0, 2, 1: both ends have up-set {1} = C(1)
@@ -291,15 +315,12 @@ class TestPeoMinSeps:
 
     @settings(max_examples=300, deadline=None)
     @given(graph_masks(max_n=9), st.randoms(use_true_random=False))
-    def test_any_order_is_read_or_rejected(self, graph, rng):
+    def test_any_peo_is_read(self, graph, rng):
         n, adj = graph
-        order = list(range(n))
-        rng.shuffle(order)
-        got = _peo_read_off(adj, order)
-        if not _is_peo(adj, order):
-            assert got is None
-        else:
-            assert _sorted_parts(got) == _sorted_parts(mcs_cliques_seps(adj, n))
+        rescan_minfill_masks(adj, n)  # adj is now chordal
+        order = _random_peo(adj, n, rng)
+        want = _sorted_parts(mcs_cliques_seps(adj, n))
+        assert _sorted_parts(_peo_read_off(adj, order)) == want
 
     @settings(max_examples=150, deadline=None)
     @given(graph_masks(max_n=14))
@@ -319,11 +340,13 @@ class TestPeoMinSeps:
             g = Graph._from_masks(masks)
             want = mcs_cliques_seps(masks, n)
             assert is_chordal(g) == (want is not None)
-            assert _sorted_parts(_chordal_read_off(masks, n)) == _sorted_parts(want)
             if want is None:
+                with pytest.raises(NotChordalError):
+                    _chordal_read_off(masks, n)
                 with pytest.raises(NotChordalError):
                     max_cliques_chordal(g)
                 continue
+            assert _sorted_parts(_chordal_read_off(masks, n)) == _sorted_parts(want)
             assert max_cliques_chordal(g) == sorted(map(vertex_set, want[0]), key=sorted)
             if n and is_connected(g):
                 assert extract_min_seps_chordal(g) == set(map(vertex_set, want[1]))
@@ -455,21 +478,27 @@ class TestExtenders:
         adj = list(g._adj)
         fill, order = _minfill_masks(adj, g.n)
         assert fill == [(3, 7), (4, 9), (6, 13), (8, 9)]
-        _sandwich_masks(adj, fill)
-        assert len(set(fill) - set(Graph._from_masks(adj).edges())) == 1
-        # min-fill's order is rejected, and the peeling order answers
-        assert _peo_read_off(adj, order) is None
+        kept = _sandwich_masks(adj, fill)
+        edges = set(Graph._from_masks(adj).edges())
+        assert len(set(fill) - edges) == 1
+        assert len(kept) == 3 and set(kept) == set(fill) & edges
+        # min-fill's order is no longer perfect, and the peeling order answers
+        assert not _is_peo(adj, order)
         seps = _extend_blackbox(g, [])
         assert seps == mcs_cliques_seps(adj, g.n)[1]
         assert {frozenset(bits(m)) for m in seps} == _public_pipeline(g, ())
         assert extend_family_blackbox(g, ()) == _public_pipeline(g, ())
 
     def test_blackbox_raises_on_a_non_chordal_result(self, monkeypatch):
-        # a min-fill that adds nothing leaves C4 as it is
-        monkeypatch.setattr(
-            triangulate, "_minfill_masks", lambda adj, n: ([], list(range(n)))
-        )
-        with pytest.raises(GraphError, match="expected a chordal graph"):
+        def strip_every_fill_edge(adj, fill):
+            for u, v in fill:
+                adj[u] &= ~(1 << v)
+                adj[v] &= ~(1 << u)
+            return []
+
+        # min-fill's chord of C4 is stripped again, so the re-peel meets C4
+        monkeypatch.setattr(triangulate, "_sandwich_masks", strip_every_fill_edge)
+        with pytest.raises(NotChordalError, match="not chordal"):
             extend_family_blackbox(cycle_graph(4), ())
 
     def test_invalid_family_raises(self):
