@@ -12,9 +12,10 @@ at ``--limit`` right after an answer is written.
 Answers are written one per line and flushed immediately, so piping
 into ``head`` or using ``--limit`` stops the enumeration early instead
 of waiting for it to finish. Exit codes: 0 on success, 1 on input
-errors, when memory runs out and when stdout cannot be written (a
-full disk, or stdout closed at start), 2 on bad flags and guard
-violations (disconnected input without ``--per-component``, an
+errors (including input that is not UTF-8, and stdin closed at start
+with no input file), when memory runs out and when stdout cannot be
+written (a full disk, or stdout closed at start), 2 on bad flags and
+guard violations (disconnected input without ``--per-component``, an
 oversized crossing graph, or a bad crossing-graph cap), 130 when
 interrupted (Ctrl-C), and 141 when the reader of stdout goes away
 (e.g. ``| head``). None of them prints a traceback or a usage line.
@@ -255,8 +256,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_input(path: str) -> str:
+    """The input text, decoded as strict UTF-8 from a file or stdin."""
     if path == "-":
-        return sys.stdin.read()
+        if sys.stdin is None:
+            # started with stdin closed (``<&-``), so Python has no stream
+            raise OSError("stdin is closed")
+        return sys.stdin.buffer.read().decode("utf-8")
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
 

@@ -212,8 +212,11 @@ def is_connected(g: Graph) -> bool:
 
 def _saturate(adj: list[int], smask: int) -> None:
     """Make the vertices of ``smask`` a clique, in place."""
-    for v in bits(smask):
-        adj[v] |= smask & ~(1 << v)
+    m = smask
+    while m:
+        b = m & -m
+        adj[b.bit_length() - 1] |= smask ^ b
+        m ^= b
 
 
 def saturate(g: Graph, U: Iterable[int]) -> Graph:

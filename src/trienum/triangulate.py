@@ -115,15 +115,37 @@ def _minfill_masks(adj: list[int], n: int) -> tuple[list[tuple[int, int]], list[
     elimination can remove, with no edge added. This is what min-fill
     does before its first step with positive fill, because it takes a
     fill-0 (simplicial) vertex whenever one exists, and any peeling
-    order removes the same set. A chordal graph is peeled empty. The
-    rest runs the min-fill loop with each vertex's fill count cached; a
-    count is recomputed only when the vertex's live neighborhood lost a
-    vertex or gained an edge since it was counted.
+    order removes the same set. A chordal graph is peeled empty.
+
+    The rest runs the min-fill loop on counts kept exact by update:
+    ``deg[v]`` live neighbors and ``fills[v]`` missing pairs among them,
+    counted once after the peel. Eliminating x changes them in two ways.
+    Each live neighbor u loses x, and with it the pairs {x, y} it was
+    missing: the ``deg[u] - 1`` other live neighbors y less the ones
+    adjacent to x. Each fill edge uw, added one at a time, gives u the
+    new pairs {w, y} for its live neighbors y not adjacent to w (and w
+    likewise), and closes the pair {u, w} at every common live neighbor.
+    No other vertex's live neighborhood or its edges change.
     """
     order, alive = _peel(adj, n)
     added: list[tuple[int, int]] = []
+    deg = [0] * n
     fills = [0] * n
-    dirty = alive
+    m = alive
+    while m:
+        b = m & -m
+        v = b.bit_length() - 1
+        m ^= b
+        nb = adj[v] & alive
+        d = deg[v] = nb.bit_count()
+        # d(d-1)/2 pairs less the edges inside nb, each seen from both ends
+        inner = 0
+        mm = nb
+        while mm:
+            bb = mm & -mm
+            mm ^= bb
+            inner += (adj[bb.bit_length() - 1] & nb).bit_count()
+        fills[v] = (d * (d - 1) - inner) // 2
     while alive:
         best = -1
         best_fill = -1
@@ -132,45 +154,46 @@ def _minfill_masks(adj: list[int], n: int) -> tuple[list[tuple[int, int]], list[
             b = m & -m
             v = b.bit_length() - 1
             m ^= b
-            if dirty & b:
-                dirty ^= b
-                nb = adj[v] & alive
-                fill = 0
-                mm = nb
-                while mm:
-                    bb = mm & -mm
-                    mm ^= bb
-                    fill += (nb & ~adj[bb.bit_length() - 1] & ~bb).bit_count()
-                fills[v] = fill
-            else:
-                fill = fills[v]
+            fill = fills[v]
             if best_fill < 0 or fill < best_fill:
                 best, best_fill = v, fill
                 if fill == 0:
                     break  # scanning ascending, so this is the smallest id
+        alive ^= 1 << best
+        order.append(best)
         nb = adj[best] & alive
-        dirty |= nb
         mm = nb
         while mm:
             bb = mm & -mm
             u = bb.bit_length() - 1
             mm ^= bb
-            missing = nb & ~adj[u] & ~bb
-            if missing:
-                # each pair is seen from both endpoints, which keeps the
-                # masks symmetric; record it from the smaller one
-                adj[u] |= missing
-                m2 = missing >> (u + 1) << (u + 1)
-                while m2:
-                    b2 = m2 & -m2
-                    m2 ^= b2
-                    w = b2.bit_length() - 1
-                    added.append((u, w))
-                    # the new edge uw closes a missing pair in the
-                    # neighborhood of every common neighbor of u and w
-                    dirty |= adj[u] & adj[w]
-        alive ^= 1 << best
-        order.append(best)
+            d = deg[u] = deg[u] - 1
+            fills[u] -= d - (adj[u] & nb).bit_count()
+        if not best_fill:
+            continue
+        mm = nb
+        while mm:
+            bb = mm & -mm
+            u = bb.bit_length() - 1
+            mm ^= bb
+            m2 = (nb & ~adj[u]) >> (u + 1) << (u + 1)
+            while m2:
+                b2 = m2 & -m2
+                m2 ^= b2
+                w = b2.bit_length() - 1
+                added.append((u, w))
+                common = adj[u] & adj[w] & alive
+                c = common.bit_count()
+                fills[u] += deg[u] - c
+                fills[w] += deg[w] - c
+                deg[u] += 1
+                deg[w] += 1
+                while common:
+                    bz = common & -common
+                    common ^= bz
+                    fills[bz.bit_length() - 1] -= 1
+                adj[u] |= b2
+                adj[w] |= bb
     added.sort()
     return added, order
 
@@ -183,8 +206,10 @@ def triangulate_heuristic(g: Graph) -> Graph:
     saturated. Chordal inputs come back unchanged: the simplicial
     vertices are peeled first, which is what min-fill would remove
     before any step that adds an edge, and a chordal graph is peeled
-    empty. After the peel, only the fill counts that an elimination
-    changed are recounted.
+    empty. After the peel, every fill count is counted once and then
+    updated: an elimination takes the pairs through the eliminated
+    vertex out of its neighbors' counts, and each fill edge adds its
+    endpoints' new pairs and closes one pair at each common neighbor.
     """
     adj = list(g._adj)
     _minfill_masks(adj, g.n)
@@ -458,8 +483,11 @@ def enum_min_triangulations(
     if not is_connected(g):
         raise DisconnectedGraphError("enum_min_triangulations requires a connected graph")
     inst = separator_graph_instance(g, extender)
-    base_edges = set(g.edges())
     for family in enum_max_independent(inst, stats=stats, hook=hook):
         h = saturate_family(g, family)
-        fill = frozenset(e for e in h.edges() if e not in base_edges)
+        fill = frozenset(
+            (u, w)
+            for u in range(g.n)
+            for w in bits((h._adj[u] & ~g._adj[u]) >> (u + 1) << (u + 1))
+        )
         yield Triangulation(base=g, fill_edges=fill, chordal_graph=h, family=family)

@@ -23,6 +23,12 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def stdin_of(text):
+    """A stand-in for ``sys.stdin`` that, like the real one, has bytes
+    underneath."""
+    return io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
+
+
 def write_cycle(tmp_path, n, name="g.col"):
     lines = [f"p edge {n} {n}"]
     lines += [f"e {i + 1} {(i + 1) % n + 1}" for i in range(n)]
@@ -74,7 +80,7 @@ class TestCommands:
         assert all(r["answer"]["edge_count"] == 5 for r in recs)
 
     def test_treedecomps_on_p4(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("a b\nb c\nc d\n"))
+        monkeypatch.setattr("sys.stdin", stdin_of("a b\nb c\nc d\n"))
         code, out, _ = run_cli(capsys, ["treedecomps"])
         assert code == 0
         assert len(answers(out, "treedecomp")) == 1
@@ -119,7 +125,7 @@ class TestCommands:
 
 class TestOutputsAndModes:
     def test_plain_minseps(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("a b\nb c\n"))
+        monkeypatch.setattr("sys.stdin", stdin_of("a b\nb c\n"))
         code, out, _ = run_cli(capsys, ["minseps", "--output", "plain"])
         assert code == 0
         assert out == "1\n"
@@ -207,20 +213,20 @@ class TestOutputsAndModes:
 
 class TestGuardsAndErrors:
     def test_disconnected_rejected(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("a b\nc d\n"))
+        monkeypatch.setattr("sys.stdin", stdin_of("a b\nc d\n"))
         code, _, err = run_cli(capsys, ["minseps"])
         assert code == 2
         assert "connected components" in err
 
     def test_per_component(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("a b\nb c\nx y\ny z\n"))
+        monkeypatch.setattr("sys.stdin", stdin_of("a b\nb c\nx y\ny z\n"))
         code, out, _ = run_cli(capsys, ["minseps", "--per-component"])
         assert code == 0
         recs = answers(out, "minsep")
         assert [(r["component"], r["answer"]) for r in recs] == [(0, [1]), (1, [4])]
 
     def test_parse_error_exit_one(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("a a\n"))
+        monkeypatch.setattr("sys.stdin", stdin_of("a a\n"))
         code, _, err = run_cli(capsys, ["minseps"])
         assert code == 1
         assert "self-loop" in err
@@ -249,13 +255,13 @@ class TestGuardsAndErrors:
         ],
     )
     def test_malformed_json_exit_one(self, text, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        monkeypatch.setattr("sys.stdin", stdin_of(text))
         code, out, err = run_cli(capsys, ["minseps", "--format", "json"])
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_negative_dimacs_edge_count_exit_one(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("p edge 3 -5\ne 1 2\ne 2 3\n"))
+        monkeypatch.setattr("sys.stdin", stdin_of("p edge 3 -5\ne 1 2\ne 2 3\n"))
         code, out, err = run_cli(capsys, ["minseps", "--format", "dimacs"])
         assert (code, out) == (1, "")
         assert err == "error: line 1: negative edge count\n"
@@ -269,7 +275,7 @@ class TestGuardsAndErrors:
     )
     def test_out_of_memory_exit_one(self, fmt, text, capsys, monkeypatch):
         # 10**15 adjacency slots cannot be allocated, so this fails at once
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        monkeypatch.setattr("sys.stdin", stdin_of(text))
         code, out, err = run_cli(capsys, ["minseps", "--format", fmt])
         assert (code, out, err) == (1, "", "error: out of memory\n")
 
@@ -316,7 +322,7 @@ class TestGuardsAndErrors:
             assert err == "error: --max-crossgraph-nodes must be a nonnegative integer, got '-1'\n"
 
     def test_empty_graph_rejected(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO('{"n": 0, "edges": []}'))
+        monkeypatch.setattr("sys.stdin", stdin_of('{"n": 0, "edges": []}'))
         code, _, err = run_cli(capsys, ["minseps", "--format", "json"])
         assert code == 1
         assert "no vertices" in err
@@ -371,6 +377,50 @@ class TestProcessBoundary:
         assert proc.returncode == 1
         lines = proc.stderr.decode().splitlines()
         assert lines == ["error: cannot write output: stdout is closed"]
+
+    def test_closed_stdin_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", None)
+        code = main(["minseps"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: cannot read -: stdin is closed"]
+
+    def test_closed_stdin_exits_one_from_a_shell(self):
+        env = {**os.environ}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            ["sh", "-c", '"$0" -m trienum minseps <&-', sys.executable],
+            capture_output=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert proc.stderr.decode().splitlines() == [
+            "error: cannot read -: stdin is closed"
+        ]
+
+    def test_non_utf8_stdin_exits_one(self, tmp_path):
+        # the C locale reads stdin with surrogateescape, which would turn
+        # the bytes into a label; a file with the same bytes is rejected
+        env = {**os.environ, "LC_ALL": "C"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"\xff\xfe 1\n")
+        for argv, data in ((["minseps", "-"], path.read_bytes()), (["minseps", str(path)], b"")):
+            proc = subprocess.run(
+                [sys.executable, "-m", "trienum", *argv],
+                input=data,
+                capture_output=True,
+                env=env,
+                timeout=60,
+            )
+            assert proc.returncode == 1
+            assert proc.stdout == b""
+            lines = proc.stderr.decode().splitlines()
+            assert len(lines) == 1
+            assert lines[0].startswith(f"error: cannot read {argv[1]}: 'utf-8' codec")
 
     def test_interrupt_exits_quietly(self, tmp_path):
         proc = spawn_cli(["triangulations", write_cycle(tmp_path, 12), "--format", "dimacs"])
@@ -481,7 +531,7 @@ class TestGoldenOutput:
     @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
     def test_stdout_matches(self, case, capsys, monkeypatch):
         text, argv = GOLDEN_CASES[case]
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        monkeypatch.setattr("sys.stdin", stdin_of(text))
         code, out, err = run_cli(capsys, argv)
         assert (code, err) == (0, "")
         assert mask_delays(out) == GOLDEN[case]

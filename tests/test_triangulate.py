@@ -1,9 +1,10 @@
 import dataclasses
+import hashlib
 import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trienum import (
@@ -37,6 +38,7 @@ from trienum.graph import (
     _chordal_read_off,
     _peel,
     _peo_read_off,
+    _saturate,
     bits,
     mask_of,
     vertex_set,
@@ -154,6 +156,35 @@ def graph_masks(draw, max_n=24):
     return n, adj
 
 
+def _masks(edges, n):
+    """A graph as the (n, adjacency masks) pair that ``graph_masks`` draws."""
+    return n, list(Graph(n, edges)._adj)
+
+
+def _grid(rows, cols):
+    edges = []
+    for r, c in itertools.product(range(rows), range(cols)):
+        v = r * cols + c
+        if c + 1 < cols:
+            edges.append((v, v + 1))
+        if r + 1 < rows:
+            edges.append((v, v + cols))
+    return _masks(edges, rows * cols)
+
+
+# min-fill adds edges over several steps on C12, the grid and Petersen,
+# and on K3,4 each edge of one step's fill closes a pair at three vertices
+C12 = _masks(cycle_graph(12).edges(), 12)
+GRID_3X4 = _grid(3, 4)
+K34 = _masks([(u, v) for u in range(3) for v in range(3, 7)], 7)
+PETERSEN = _masks(
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+    10,
+)
+
+
 def _assert_minfill_matches_rescan(adj, n):
     ours, ref = list(adj), list(adj)
     fill, _ = _minfill_masks(ours, n)
@@ -178,6 +209,19 @@ class TestSaturateFamily:
     def test_out_of_range_raises(self):
         with pytest.raises(GraphError):
             saturate_family(cycle_graph(4), _family({0, 9}))
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph_masks(), st.randoms(use_true_random=False))
+    def test_saturate_equals_pairwise_saturation(self, graph, rng):
+        n, adj = graph
+        naive = list(adj)
+        for _ in range(rng.randint(0, 4)):
+            subset = [v for v in range(n) if rng.random() < 0.4]
+            _saturate(adj, mask_of(subset))
+            for u, v in itertools.combinations(subset, 2):
+                naive[u] |= 1 << v
+                naive[v] |= 1 << u
+        assert adj == naive
 
 
 class TestTriangulateHeuristic:
@@ -215,10 +259,15 @@ class TestTriangulateHeuristic:
 
 
 class TestMinfillMasks:
-    """The peel-then-cached-counts min-fill against the plain rescan."""
+    """The peel-then-updated-counts min-fill against the plain rescan,
+    and its elimination order against a digest of an earlier build."""
 
     @settings(max_examples=300, deadline=None)
     @given(graph_masks())
+    @example(C12)
+    @example(GRID_3X4)
+    @example(K34)
+    @example(PETERSEN)
     def test_same_fill_and_masks_as_rescan(self, graph):
         n, adj = graph
         _assert_minfill_matches_rescan(adj, n)
@@ -241,18 +290,33 @@ class TestMinfillMasks:
         assert adj == chordal
 
     @pytest.mark.parametrize(
-        "g, answers",
+        "g, answers, digest",
         [
-            (random_connected_graph(30, 0.2, random.Random(1)), 40),
-            (cycle_graph(11), 150),
+            (
+                random_connected_graph(30, 0.2, random.Random(1)),
+                40,
+                "430ad1fad3c3143d690222d8d37d2b02b96d5fecc310b481720b4df46fc607e4",
+            ),
+            (
+                cycle_graph(11),
+                150,
+                "3436ff0d315cc1bf1fba35631b94d85cc32b3d43105186072f63aede6f7dfa8d",
+            ),
         ],
         ids=["random-prefix", "c11"],
     )
-    def test_same_fill_on_the_saturated_engine_families(self, g, answers):
+    def test_same_fill_on_the_saturated_engine_families(self, g, answers, digest):
         calls = _engine_extender_calls(g, answers)
         assert len(calls) > answers
+        # (added, order) of every call, pinned so that neither the
+        # tie-break nor the peeled prefix drifts while the fill matches
+        h = hashlib.sha256()
         for fam, _ in calls:
-            _assert_minfill_matches_rescan(_saturated(g, map(mask_of, fam)), g.n)
+            adj = _saturated(g, map(mask_of, fam))
+            _assert_minfill_matches_rescan(adj, g.n)
+            h.update(repr(_minfill_masks(adj, g.n)).encode())
+            h.update(b"\n")
+        assert h.hexdigest() == digest
 
 
 class TestPeel:
@@ -824,6 +888,15 @@ class TestEnumMinTriangulations:
     def test_disconnected_raises(self):
         with pytest.raises(DisconnectedGraphError):
             list(enum_min_triangulations(Graph(3, [(0, 1)])))
+
+    def test_fill_edges_are_the_added_edges(self):
+        rng = random.Random(15)
+        for _ in range(12):
+            g = random_connected_graph(rng.randint(8, 20), rng.choice([0.2, 0.3]), rng)
+            for tri in itertools.islice(enum_min_triangulations(g), 20):
+                h = tri.chordal_graph
+                assert isinstance(tri.fill_edges, frozenset)
+                assert tri.fill_edges == set(h.edges()) - set(g.edges())
 
     def test_empty_graph_raises_before_any_answer(self):
         with pytest.raises(GraphError, match="at least one vertex"):
