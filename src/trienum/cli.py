@@ -90,9 +90,8 @@ def _minseps(sub: Graph, orig: Ids, args: argparse.Namespace) -> Iterator[Any]:
 
 def _triangulations(sub: Graph, orig: Ids, args: argparse.Namespace) -> Iterator[Any]:
     for tri in enum_min_triangulations(sub, extender=args.extender):
-        fill = sorted(
-            [min(orig[u], orig[v]), max(orig[u], orig[v])] for u, v in tri.fill_edges
-        )
+        # fill pairs have u < w and orig ascends, so each pair stays ordered
+        fill = sorted([orig[u], orig[w]] for u, w in tri.fill_edges)
         yield {"fill": fill, "edge_count": tri.chordal_graph.edge_count}
 
 

@@ -85,9 +85,6 @@ class Graph:
         object.__setattr__(g, "_adj", tuple(adj))
         return g
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
             raise GraphError(f"vertex {v} out of range for n={self.n}")
@@ -98,9 +95,6 @@ class Graph:
 
     def neighbors(self, v: int) -> VertexSet:
         return vertex_set(self.neighbors_mask(v))
-
-    def degree(self, v: int) -> int:
-        return self.neighbors_mask(v).bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         self.check_vertex(u)
@@ -320,7 +314,11 @@ def is_chordal(g: Graph) -> bool:
 
 
 def _max_clique_masks(h: Graph) -> list[int]:
-    return sorted(_chordal_read_off(h._adj, h.n)[0], key=lambda m: tuple(bits(m)))
+    # by sorted vertex tuples: maximal cliques are never nested, so that
+    # is by bit-reversed masks, descending
+    width = f"0{h.n}b"
+    cliques = _chordal_read_off(h._adj, h.n)[0]
+    return sorted(cliques, key=lambda m: format(m, width)[::-1], reverse=True)
 
 
 def max_cliques_chordal(h: Graph) -> list[VertexSet]:

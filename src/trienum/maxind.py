@@ -8,11 +8,22 @@ once, pulling nodes from the iterator only when it has run out of work,
 so the cost of the next answer stays polynomial in the input size plus
 the number of answers already produced.
 
+It follows Cohen, Kimelfeld and Sagiv (2008): each printed answer J is
+grown toward each pulled node v through the base I, which is v
+together with J's members outside N(v). Completeness needs only that
+some found answer holds every such I, so the extender runs only on a
+base that no answer found so far holds, and its result is then a new
+answer: one extender run per answer. Suppose a maximal set M were
+never printed; take the printed J that shares the most members with
+M, and v in M but not in J. Some found K holds the base of (J, v),
+which holds v and J's members in M, so K shares more with M than J
+does, and K is printed too: a contradiction.
+
 Nodes are opaque but must be hashable, with equal nodes meaning the
 same node; the engine assigns each a dense index so that answer sets
-become integer bitmasks, and membership bookkeeping is then a handful
-of int operations per step. Because the extender is required to be
-deterministic, its results are memoized on the bitmask of its argument.
+become integer bitmasks. For each node it keeps the bitset of the found
+answers that hold it, so whether a found answer holds I is an AND of
+|I| such bitsets, made once per distinct base.
 """
 
 from __future__ import annotations
@@ -45,7 +56,9 @@ class ImplicitGraph:
     extend_to_max_ind  grows an independent set into a maximal one; must
                        be deterministic and return a superset
 
-    Nodes must be hashable: the engine tells them apart by value.
+    Nodes must be hashable: the engine tells them apart by value. It
+    runs the extender once per answer, so the extender fixes the order
+    of the answers; being deterministic, it makes reruns agree.
     """
 
     node_stream: Callable[[], Iterator[Node]]
@@ -71,20 +84,19 @@ def enum_max_independent(
 ) -> Iterator[NodeSet]:
     """Yield every maximal independent set of the represented graph once.
 
-    The pending-answer queue is popped FIFO. Each popped answer is
-    emitted, then extended in the direction of every node pulled so far:
-    for node v, the popped set is reduced to the non-neighbors of v, v
-    is added, and the extender completes the result, which is kept if
-    never seen before. When the queue drains, nodes are pulled one at a
-    time and every answer emitted so far is extended in the direction of
-    the new node, until new work appears or the stream ends. Extensions
-    of earlier nodes against earlier answers are not repeated: each such
-    pair was extended when the answer was popped or when the node was
-    pulled, and the extender is deterministic, so repeating the pair
-    cannot produce an unseen result.
+    The pending-answer queue is popped FIFO. Each popped answer J is
+    emitted, then grown toward every node v pulled so far through the
+    base I, v plus J's non-neighbors of v: unless an answer found so
+    far, queued or printed, holds I, the extender completes I, and the
+    result, new by construction, is queued. When the queue drains, nodes
+    are pulled one at a time and every printed answer is grown toward
+    the new node, until new work appears or the stream ends. Each
+    distinct base is looked up once, and no (J, v) step is repeated.
 
-    An instance with an empty node universe yields exactly one answer,
-    the empty set.
+    ``stats.extender_calls`` counts the steps, not the extender runs.
+    With ``check_invariants``, each new answer is checked against the
+    found ones. An instance with an empty node universe yields exactly
+    one answer, the empty set.
     """
     if stats is None:
         stats = EnumStats()
@@ -102,6 +114,7 @@ def enum_max_independent(
             nodes.append(node)
             adj_mask.append(0)
             adj_known.append(1 << idx)  # irreflexive, so self is known
+            holders.append(0)
         return idx
 
     def ensure_adjacency(v: int, need: int) -> None:
@@ -113,10 +126,13 @@ def enum_max_independent(
             adj_known[v] |= 1 << u
             adj_known[u] |= 1 << v
 
-    memo: dict[int, int] = {}
-    memo_get = memo.get
+    memo: set[int] = set()  # bases already answered
+    queue: deque[int] = deque()
+    found: list[int] = []  # every answer queued or printed, in discovery order
+    holders: list[int] = []  # bit a of holders[i] is set iff found[a] holds node i
 
-    def compute(imask: int) -> int:
+    def extend(imask: int) -> None:
+        # no found answer holds I: extend it, and the result is new
         result = inst.extend_to_max_ind(
             frozenset(nodes[i] for i in bits(imask))
         )
@@ -125,21 +141,17 @@ def enum_max_independent(
             kmask |= 1 << intern(node)
         if kmask & imask != imask:
             raise ImplicitGraphError("extend_to_max_ind dropped part of its input")
-        memo[imask] = kmask
-        return kmask
-
-    start = time.perf_counter()
-    stats.extender_calls += 1
-    if hook is not None:
-        hook("extend", stats)
-    first = compute(0)
-    queue: deque[int] = deque([first])
-    queued: set[int] = {first}
-    printed: set[int] = set()
+        if check_invariants and any(f & kmask == kmask for f in found):
+            raise ImplicitGraphError("a found answer already holds the new answer")
+        a = 1 << len(found)
+        found.append(kmask)
+        for i in bits(kmask):
+            holders[i] |= a
+        queue.append(kmask)
 
     def grow(jmask: int, v: int) -> None:
-        # growing the printed answer J toward v: keep v plus J's
-        # non-neighbors of v, extend, and queue the result if it is new
+        # growing the printed answer J toward v: the base I is v plus
+        # J's non-neighbors of v; extend it unless a found answer holds it
         ensure_adjacency(v, jmask)
         stats.extender_calls += 1
         if hook is not None:
@@ -147,24 +159,30 @@ def enum_max_independent(
         if jmask >> v & 1:
             return  # J already contains v, is maximal, and is printed
         imask = (jmask & ~adj_mask[v]) | 1 << v
-        kmask = memo_get(imask)
-        if kmask is None:
-            kmask = compute(imask)
-        if kmask not in queued and kmask not in printed:
-            queued.add(kmask)
-            queue.append(kmask)
+        if imask in memo:
+            return
+        memo.add(imask)
+        held = holders[v]
+        rest = imask ^ 1 << v
+        while held and rest:
+            b = rest & -rest
+            held &= holders[b.bit_length() - 1]
+            rest ^= b
+        if not held:
+            extend(imask)
 
-    printed_list: list[int] = []
+    start = time.perf_counter()
+    stats.extender_calls += 1
+    if hook is not None:
+        hook("extend", stats)
+    extend(0)
     pulled: list[int] = []
     pulled_set: set[int] = set()
     stream = inst.node_stream()
     exhausted = False
 
     while queue:
-        if check_invariants and not queued.isdisjoint(printed):
-            raise ImplicitGraphError("pending and emitted answers overlap")
         imask = queue.popleft()
-        queued.discard(imask)
         now = time.perf_counter()
         stats.delays.append(now - start)
         start = now
@@ -172,8 +190,6 @@ def enum_max_independent(
         if hook is not None:
             hook("emit", stats)
         yield frozenset(nodes[i] for i in bits(imask))
-        printed.add(imask)
-        printed_list.append(imask)
         for v in pulled:
             grow(imask, v)
         while not queue and not exhausted:
@@ -189,5 +205,6 @@ def enum_max_independent(
             stats.nodes_pulled += 1
             if hook is not None:
                 hook("pull", stats)
-            for jmask in printed_list:
-                grow(jmask, w)
+            # the queue is empty, so every found answer is printed
+            for a in range(len(found)):
+                grow(found[a], w)

@@ -50,9 +50,11 @@ class TreeDecomposition:
 
 @dataclass(frozen=True)
 class WeightedCliqueGraph:
-    """Maximal cliques of a chordal graph with all pairwise intersection
-    sizes as edge weights (weight-0 pairs included, so spanning trees
-    always exist)."""
+    """Maximal cliques of a connected chordal graph, with an edge (i, j,
+    weight) for each pair of cliques that share a vertex, in ascending
+    (i, j) order; the weight is the size of their intersection.
+    Disjoint pairs are left out: no maximum-weight spanning tree of a
+    connected chordal graph's clique graph uses a weight-0 edge."""
 
     nodes: tuple[VertexSet, ...]
     edges: tuple[tuple[int, int, int], ...]
@@ -148,7 +150,10 @@ def clique_graph(h: Graph) -> WeightedCliqueGraph:
     masks = _max_clique_masks(h)
     k = len(masks)
     edges = [
-        (i, j, (masks[i] & masks[j]).bit_count()) for i in range(k) for j in range(i + 1, k)
+        (i, j, w)
+        for i, m in enumerate(masks)
+        for j in range(i + 1, k)
+        if (w := (m & masks[j]).bit_count())
     ]
     return WeightedCliqueGraph(tuple(vertex_set(m) for m in masks), tuple(edges))
 

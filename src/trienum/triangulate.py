@@ -49,6 +49,7 @@ ParallelFamily = frozenset[Separator]
 class Triangulation:
     """A chordal supergraph of ``base`` described by its fill edges.
 
+    ``fill_edges`` holds each added edge once, as (u, w) with u < w.
     ``family`` is the maximal set of pairwise-parallel minimal
     separators whose saturation produced the triangulation.
     """

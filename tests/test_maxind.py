@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -19,6 +20,7 @@ from conftest import (
     all_graphs,
     complete_graph,
     cycle_graph,
+    ladder_graph,
     path_graph,
     random_connected_graph,
 )
@@ -28,35 +30,26 @@ from oracle import brute_max_independent_sets, explicit_graph_instance
 def reference_enum(inst):
     """The enumeration written out literally, with no caching and with a
     full re-sweep of every pulled node against every printed answer on
-    each pull. The production engine must match this answer sequence."""
-    printed_set = set()
-    queued_set = set()
-    queue = []
+    each pull. A step extends its base only when no answer found so far,
+    queued or printed, holds it. The production engine must match this
+    answer sequence."""
+    queue = [inst.extend_to_max_ind(frozenset())]
     printed = []
     pulled = []
-    out = []
-
-    def push(k):
-        if k not in queued_set and k not in printed_set:
-            queued_set.add(k)
-            queue.append(k)
 
     def direction(j, v):
         base = {u for u in j if not inst.adjacent(v, u)}
         base.add(v)
-        return inst.extend_to_max_ind(frozenset(base))
+        if not any(base <= k for k in printed + queue):
+            queue.append(inst.extend_to_max_ind(frozenset(base)))
 
-    push(inst.extend_to_max_ind(frozenset()))
     stream = inst.node_stream()
     exhausted = False
     while queue:
         answer = queue.pop(0)
-        queued_set.discard(answer)
-        printed_set.add(answer)
         printed.append(answer)
-        out.append(frozenset(answer))
         for v in pulled:
-            push(direction(answer, v))
+            direction(answer, v)
         while not queue and not exhausted:
             nxt = next(stream, None)
             if nxt is None:
@@ -65,8 +58,33 @@ def reference_enum(inst):
             pulled.append(nxt)
             for v in pulled:
                 for j in printed:
-                    push(direction(j, v))
-    return out
+                    direction(j, v)
+    return printed
+
+
+def counting(inst):
+    """The instance with its extender wrapped, and the list that collects
+    one entry per extender run."""
+    runs = []
+
+    def extend(base):
+        runs.append(base)
+        return inst.extend_to_max_ind(base)
+
+    return dataclasses.replace(inst, extend_to_max_ind=extend), runs
+
+
+# graphs on which extending every unseen base, whether or not a found
+# answer holds it, emits the answers in another order
+EXPLICIT_ORDER_MOVES = [
+    Graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 5), (2, 3), (2, 4), (3, 4)]),
+    Graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 4), (2, 5), (3, 4)]),
+]
+SEPARATOR_ORDER_MOVES = [
+    cycle_graph(7),
+    Graph(9, [(0, 1), (0, 2), (0, 4), (0, 5), (0, 7), (1, 4), (1, 7), (1, 8), (2, 3),
+              (2, 4), (2, 7), (3, 7), (3, 8), (5, 6), (5, 7), (5, 8), (6, 8), (7, 8)]),
+]
 
 
 class TestExplicitInstances:
@@ -137,21 +155,44 @@ class TestOracleEquivalence:
 
 class TestReferenceEquivalence:
     def test_explicit_instances_match_reference_sequence(self):
-        for g in all_connected_graphs(5):
+        for g in all_connected_graphs(5) + EXPLICIT_ORDER_MOVES:
             inst = explicit_graph_instance(g)
             assert list(enum_max_independent(inst)) == reference_enum(inst)
 
     def test_separator_instances_match_reference_sequence(self):
         graphs = [cycle_graph(4), cycle_graph(5), cycle_graph(6), path_graph(5)]
+        graphs += SEPARATOR_ORDER_MOVES
         rng = random.Random(99)
         graphs += [
             random_connected_graph(rng.randint(5, 7), rng.choice([0.3, 0.5]), rng)
             for _ in range(12)
         ]
         for g in graphs:
-            got = list(enum_max_independent(separator_graph_instance(g)))
-            want = reference_enum(separator_graph_instance(g))
-            assert got == want
+            for extender in ("blackbox", "separator"):
+                got = list(enum_max_independent(separator_graph_instance(g, extender)))
+                want = reference_enum(separator_graph_instance(g, extender))
+                assert got == want
+
+
+class TestOneExtenderRunPerAnswer:
+    """A step whose base a found answer holds runs no extender, so every
+    run finds a new answer."""
+
+    def test_separator_instances(self):
+        for g, extender in [
+            (cycle_graph(11), "blackbox"),
+            (ladder_graph(6), "blackbox"),
+            (ladder_graph(6), "separator"),
+        ]:
+            inst, runs = counting(separator_graph_instance(g, extender))
+            answers = list(enum_max_independent(inst, check_invariants=True))
+            assert len(runs) == len(answers) == len(set(answers))
+
+    def test_explicit_instances(self):
+        for g in all_connected_graphs(5) + EXPLICIT_ORDER_MOVES:
+            inst, runs = counting(explicit_graph_instance(g))
+            answers = list(enum_max_independent(inst, check_invariants=True))
+            assert len(runs) == len(answers) == len(set(answers))
 
 
 class TestStatsAndHooks:

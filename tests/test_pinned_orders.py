@@ -4,7 +4,9 @@ Each test hashes an answer stream, in the order it comes out, and
 compares it with a digest recorded from an earlier implementation.
 Reruns of one build agree by construction; these pin the order across
 changes to the component sweep, the split, min-fill, the extenders and
-the separator read-off.
+the separator read-off. A digest is re-recorded only when a change
+moves the order on purpose, and an order-free check beside it keeps
+the set of rows.
 """
 
 import hashlib
@@ -21,6 +23,7 @@ from trienum import (
     extend_family_blackbox,
     extend_family_separator,
     find_min_sep,
+    is_minimal_triangulation,
 )
 
 from conftest import cycle_graph, ladder_graph, random_connected_graph, star_graph
@@ -84,6 +87,14 @@ def _triangulation_rows(g, limit, extender="blackbox"):
     ]
 
 
+def _assert_distinct_minimal_triangulations(g, rows):
+    """Order-free check of a prefix: no row repeats, and each row's fill
+    makes a minimal triangulation of g."""
+    assert len(set(rows)) == len(rows)
+    for fill in rows:
+        assert is_minimal_triangulation(g, g.add_edges(fill))
+
+
 def _treedecomp_rows(g, extender="blackbox"):
     return [
         (tuple(tuple(sorted(b)) for b in d.bags), d.edges)
@@ -115,28 +126,32 @@ def test_decompose_pieces_and_extender_results():
 
 
 def test_random_graph_triangulation_prefix():
-    rows = _triangulation_rows(random_connected_graph(30, 0.2, random.Random(1)), 300)
+    g = random_connected_graph(30, 0.2, random.Random(1))
+    rows = _triangulation_rows(g, 300)
     assert len(rows) == 300
+    _assert_distinct_minimal_triangulations(g, rows)
     assert _digest(rows) == (
-        "0da31c55f437e92cbc49c78fa8cc0ec274140ca4edac9005fe19cb1f3fb63ef7"
+        "d859d3300c56a30037c0278dd13ae9b501649a17dfd70215a7ec9f31fdb1d7e0"
     )
 
 
 def test_random_graph_triangulation_prefix_separator_extender():
-    rows = _triangulation_rows(
-        random_connected_graph(30, 0.2, random.Random(1)), 300, "separator"
-    )
+    g = random_connected_graph(30, 0.2, random.Random(1))
+    rows = _triangulation_rows(g, 300, "separator")
     assert len(rows) == 300
+    _assert_distinct_minimal_triangulations(g, rows)
     assert _digest(rows) == (
-        "01ab43ee2e028accf8e0aebc5e6491f5d6a35c53644fb7cf66f15ddbe82ac7a9"
+        "8246a839a5c5200a175a768b22a2afc0161bc4ec80c4d46650f2c73529ba3865"
     )
 
 
 def test_c11_triangulation_prefix():
-    rows = _triangulation_rows(cycle_graph(11), 1000)
+    g = cycle_graph(11)
+    rows = _triangulation_rows(g, 1000)
     assert len(rows) == 1000
+    _assert_distinct_minimal_triangulations(g, rows)
     assert _digest(rows) == (
-        "8f2b1c39e08d7bbdfccc9ebf77964265ba9bdd06a53e8303c419547b4908974f"
+        "aaaea5ad018743a7e9657981740f039e2bd4ec54702cdd5a87372f408d5eac81"
     )
 
 
@@ -163,9 +178,13 @@ def test_random_graph_tree_decompositions():
     # have several spanning trees each
     g = random_connected_graph(12, 0.3, random.Random(3))
     for extender, digest in (
-        ("blackbox", "7cf2a4ce813961810271a43862f091df5c867fbc91d92941aca5d93b1c366ffe"),
+        ("blackbox", "10816085cd5d37e755f86940c659cf55993fb20171c90aceb274dfb0bf20fb4e"),
         ("separator", "51afaa530aaab3af39cb6ad196fd99d16d49bbb7ce2c443be1c3977f27738065"),
     ):
         rows = _treedecomp_rows(g, extender)
         assert len(rows) == 246
+        # the set of rows does not depend on the order they come in
+        assert _digest(sorted(rows)) == (
+            "7f47a0da9b13c0d53ed8f2d56abe475cf2042cf5bb8ff455587bfdf06ed3e9dd"
+        )
         assert _digest(rows) == digest

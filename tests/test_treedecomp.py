@@ -163,10 +163,34 @@ class TestCliqueGraph:
         assert wg.nodes == (frozenset({0, 1, 2}),)
         assert wg.edges == ()
 
-    def test_p4_includes_weight_zero_pair(self):
+    def test_p4_leaves_out_the_disjoint_pair(self):
         wg = clique_graph(path_graph(4))
-        weights = sorted(w for _, _, w in wg.edges)
-        assert weights == [0, 1, 1]
+        assert wg.nodes == (frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3}))
+        assert wg.edges == ((0, 1, 1), (1, 2, 1))
+
+    def test_disjoint_pairs_change_no_tree(self):
+        # the same trees, in the same order, as with every pair of
+        # cliques joined, disjoint ones at weight 0
+        rng = random.Random(5)
+        for _ in range(60):
+            n = rng.randint(2, 12)
+            h = triangulate_heuristic(
+                random_connected_graph(n, rng.choice([0.2, 0.4, 0.6]), rng)
+            )
+            wg = clique_graph(h)
+            k = len(wg.nodes)
+            every_pair = WeightedCliqueGraph(
+                wg.nodes,
+                tuple(
+                    (i, j, len(wg.nodes[i] & wg.nodes[j]))
+                    for i in range(k)
+                    for j in range(i + 1, k)
+                ),
+            )
+            assert wg.edges == tuple(e for e in every_pair.edges if e[2] > 0)
+            assert list(enum_max_spanning_trees(wg)) == list(
+                enum_max_spanning_trees(every_pair)
+            )
 
     def test_non_chordal_raises(self):
         with pytest.raises(NotChordalError):
