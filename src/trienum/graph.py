@@ -89,13 +89,6 @@ class Graph:
         if not (0 <= v < self.n):
             raise GraphError(f"vertex {v} out of range for n={self.n}")
 
-    def neighbors_mask(self, v: int) -> int:
-        self.check_vertex(v)
-        return self._adj[v]
-
-    def neighbors(self, v: int) -> VertexSet:
-        return vertex_set(self.neighbors_mask(v))
-
     def has_edge(self, u: int, v: int) -> bool:
         self.check_vertex(u)
         self.check_vertex(v)
@@ -250,8 +243,15 @@ def _peel(adj: Sequence[int], n: int) -> tuple[list[int], int]:
         b = todo & -todo
         todo ^= b
         v = b.bit_length() - 1
-        nb = adj[v] & alive
-        if _is_clique(adj, nb):
+        nb = rest = adj[v] & alive
+        # _is_clique(adj, nb) inline: most tests fail within a step or
+        # two, so the call would cost more than the test
+        while rest:
+            c = rest & -rest
+            rest ^= c
+            if rest & ~adj[c.bit_length() - 1]:
+                break
+        else:
             alive ^= b
             order.append(v)
             # removing b can only make its neighbors simplicial

@@ -152,7 +152,8 @@ def enum_max_independent(
     def grow(jmask: int, v: int) -> None:
         # growing the printed answer J toward v: the base I is v plus
         # J's non-neighbors of v; extend it unless a found answer holds it
-        ensure_adjacency(v, jmask)
+        if jmask & ~adj_known[v]:
+            ensure_adjacency(v, jmask)
         stats.extender_calls += 1
         if hook is not None:
             hook("extend", stats)

@@ -1,5 +1,6 @@
 """Minimal vertex separators: predicates, the crossing relation, and a
-polynomial-delay enumerator.
+lazy enumerator whose work before the k-th separator is at most k - 1
+expansions.
 
 A separator is represented as a plain ``frozenset`` of vertex ids. Its
 canonical encoding, the ascending tuple of members, fixes the order in
@@ -97,11 +98,21 @@ def enum_min_seps(g: Graph) -> Iterator[Separator]:
     """Stream every minimal separator of a connected graph exactly once.
 
     Seeds with the component neighborhoods of g minus each closed vertex
-    neighborhood, then closes under: for a produced S and each x in S,
-    add the component neighborhoods of g minus (S union N(x)). One walk
-    of each component yields both the component and its neighborhood.
-    The work queue is FIFO with seeds inserted in vertex-id order, so
-    the output order is deterministic.
+    neighborhood, then closes under expansion (Berry, Bordat & Cogis
+    2000): for a found S and each x in S, add the component
+    neighborhoods of g minus (S union N(x)). One walk of each component
+    yields both the component and its neighborhood. Separators are
+    yielded in the order they are found, seeds in vertex-id order, and
+    expanded in that same FIFO order, so the output order is
+    deterministic.
+
+    Expansion is on demand: the oldest unexpanded separator is expanded
+    only when every separator found so far has been read. Before the
+    k-th separator the stream has made at most k - 1 expansions, the
+    work an expand-on-yield loop makes, and a full run makes the same
+    expansions. The delay is incremental, not polynomial per answer: one
+    gap can hold several expansions, up to the number of separators read
+    but not yet expanded.
     """
     if g.n < 1:
         raise GraphError("enum_min_seps requires at least one vertex")
@@ -110,7 +121,8 @@ def enum_min_seps(g: Graph) -> Iterator[Separator]:
     adj = g._adj
     full = (1 << g.n) - 1
     seen: set[int] = set()
-    queue: deque[int] = deque()
+    unread: deque[int] = deque()  # found, in the order found
+    unexpanded: deque[int] = deque()  # read, in the order read
 
     def push_from(removed: int) -> None:
         # the components of g minus removed, smallest member first
@@ -120,13 +132,18 @@ def enum_min_seps(g: Graph) -> Iterator[Separator]:
             remaining &= ~comp
             if nb and nb not in seen:
                 seen.add(nb)
-                queue.append(nb)
+                unread.append(nb)
 
     for v in range(g.n):
         push_from(adj[v] | 1 << v)
-    while queue:
-        smask = queue.popleft()
-        yield vertex_set(smask)
+    while True:
+        while unread:
+            smask = unread.popleft()
+            unexpanded.append(smask)
+            yield vertex_set(smask)
+        if not unexpanded:
+            return
+        smask = unexpanded.popleft()
         for x in bits(smask):
             push_from(smask | adj[x])
 

@@ -19,8 +19,8 @@ def _reachable(g, start, avoid):
     stack = [start]
     while stack:
         x = stack.pop()
-        for y in g.neighbors(x):
-            if y not in avoid and y not in seen:
+        for y in range(g.n):
+            if g._adj[x] >> y & 1 and y not in avoid and y not in seen:
                 seen.add(y)
                 stack.append(y)
     return seen

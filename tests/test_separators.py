@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import deque
 
 import pytest
 
@@ -20,6 +21,8 @@ from trienum import (
     neighborhood,
     triangulate_heuristic,
 )
+from trienum import separators
+from trienum.graph import bits, vertex_set
 
 from conftest import (
     all_connected_graphs,
@@ -148,6 +151,78 @@ class TestEnumMinSeps:
     def test_deterministic_order(self):
         g = random_connected_graph(8, 0.4, random.Random(3))
         assert list(enum_min_seps(g)) == list(enum_min_seps(g))
+
+
+def _eager_min_seps(g):
+    """The expand-on-yield loop: each separator is expanded as soon as it
+    is yielded. Walks go through ``separators._component`` so that a
+    test can count them."""
+    adj = g._adj
+    full = (1 << g.n) - 1
+    seen = set()
+    queue = deque()
+
+    def push_from(removed):
+        sub = remaining = full & ~removed
+        while remaining:
+            comp, nb = separators._component(adj, sub, remaining & -remaining)
+            remaining &= ~comp
+            if nb and nb not in seen:
+                seen.add(nb)
+                queue.append(nb)
+
+    for v in range(g.n):
+        push_from(adj[v] | 1 << v)
+    while queue:
+        smask = queue.popleft()
+        yield vertex_set(smask)
+        for x in bits(smask):
+            push_from(smask | adj[x])
+
+
+def _walks_to_each(stream, monkeypatch):
+    """The number of component walks made before each item of the stream
+    was returned, and in the whole run."""
+    walks = [0]
+    walk = separators._component
+
+    def counted(adj, sub, seed):
+        walks[0] += 1
+        return walk(adj, sub, seed)
+
+    with monkeypatch.context() as m:
+        m.setattr(separators, "_component", counted)
+        return [walks[0] for _ in stream], walks[0]
+
+
+class TestLazyStream:
+    def test_same_order_as_eager_loop(self):
+        rng = random.Random(1801)
+        for _ in range(120):
+            n = rng.randint(2, 25)
+            g = random_connected_graph(n, rng.choice([0.15, 0.3, 0.5]), rng)
+            assert list(enum_min_seps(g)) == list(_eager_min_seps(g))
+
+    def test_prefix_costs_no_more_walks(self, monkeypatch):
+        for seed in range(4):
+            g = random_connected_graph(22, 0.2, random.Random(seed))
+            lazy, lazy_total = _walks_to_each(enum_min_seps(g), monkeypatch)
+            eager, eager_total = _walks_to_each(_eager_min_seps(g), monkeypatch)
+            assert len(lazy) == len(eager) > 100
+            for k in (1, 10, 100, len(eager)):
+                assert lazy[k - 1] <= eager[k - 1]
+            # the eager loop expands far ahead of its reader
+            assert lazy[99] < eager[99]
+            # a full run makes the same expansions
+            assert lazy_total == eager_total
+
+    def test_close_early(self):
+        g = random_connected_graph(20, 0.2, random.Random(5))
+        for k in (0, 1, 7, 30):
+            stream = enum_min_seps(g)
+            assert len(list(itertools.islice(stream, k))) == k
+            stream.close()
+            assert list(stream) == []
 
 
 class TestFindMinSep:

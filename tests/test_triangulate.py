@@ -782,7 +782,7 @@ def _connected_avoiding(g, u, v, avoid):
         x = stack.pop()
         if x == v:
             return True
-        for y in g.neighbors(x):
+        for y in bits(g._adj[x]):
             if y not in avoid and y not in seen:
                 seen.add(y)
                 stack.append(y)
