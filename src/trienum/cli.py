@@ -100,8 +100,13 @@ def _triangulation_plain(tri: dict) -> str:
 
 
 def _treedecomps(sub: Graph, orig: Ids, args: argparse.Namespace) -> Iterator[Any]:
+    # each distinct bag's row, in input ids, is built once per component
+    rows: dict[frozenset[int], list[int]] = {}
     for d in enum_proper_tds(sub, extender=args.extender):
-        bags = [sorted(orig[v] for v in b) for b in d.bags]
+        bags = [
+            rows.get(b) or rows.setdefault(b, sorted(orig[v] for v in b))
+            for b in d.bags
+        ]
         yield {"bags": bags, "tree": [[a, b] for a, b in d.edges]}
 
 

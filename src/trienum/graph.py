@@ -313,14 +313,15 @@ def is_chordal(g: Graph) -> bool:
     return not _peel(g._adj, g.n)[1]
 
 
-def _max_clique_masks(h: Graph) -> list[int]:
+def _sorted_cliques(cliques: Iterable[int], n: int) -> list[int]:
+    """Maximal cliques of a graph on n vertices in canonical order."""
     # by sorted vertex tuples: maximal cliques are never nested, so that
     # is by bit-reversed masks, descending
-    width = f"0{h.n}b"
-    cliques = _chordal_read_off(h._adj, h.n)[0]
+    width = f"0{n}b"
     return sorted(cliques, key=lambda m: format(m, width)[::-1], reverse=True)
 
 
 def max_cliques_chordal(h: Graph) -> list[VertexSet]:
     """All maximal cliques of a chordal graph, canonically ordered."""
-    return [vertex_set(m) for m in _max_clique_masks(h)]
+    cliques = _chordal_read_off(h._adj, h.n)[0]
+    return [vertex_set(m) for m in _sorted_cliques(cliques, h.n)]

@@ -6,11 +6,14 @@ characterization: a decomposition is proper exactly when saturating its
 bags gives a minimal triangulation whose maximal cliques are precisely
 the bags. Proper decompositions are enumerated one minimal
 triangulation at a time, as the maximum-weight spanning trees of the
-triangulation's clique intersection graph.
+triangulation's clique intersection graph. They are found on its
+reduced clique graph (Habib & Stacho 2009): the union of those trees,
+built from the triangulation's adjacency masks with one read-off. A
+reduced clique graph that is itself a tree is the one answer.
 
 Every clique-tree decision is made here: the bag order, the Kruskal
 tie order and the weight levels. One union-find, ``_find``, serves the
-level pass and the spanning-tree branching alike.
+tree test, the level pass and the spanning-tree branching alike.
 """
 
 from __future__ import annotations
@@ -18,22 +21,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
+from . import triangulate
 from .graph import (
     DisconnectedGraphError,
     Graph,
     GraphError,
     VertexSet,
+    _chordal_read_off,
     _component,
-    _max_clique_masks,
+    _sorted_cliques,
+    bits,
     is_connected,
     mask_of,
     max_cliques_chordal,
     vertex_set,
 )
 from .maxind import EnumStats, EventHook
-from .triangulate import _saturated, enum_min_triangulations, is_minimal_triangulation
+from .triangulate import _saturated, _saturated_families, is_minimal_triangulation
+
+# Not called here: the benchmark's tracer times the triangulation layer
+# by rebinding this name in this module and in `cli`, so it stays
+# importable from both.
+enum_min_triangulations = triangulate.enum_min_triangulations
 
 
 @dataclass(frozen=True)
@@ -50,11 +61,13 @@ class TreeDecomposition:
 
 @dataclass(frozen=True)
 class WeightedCliqueGraph:
-    """Maximal cliques of a connected chordal graph, with an edge (i, j,
-    weight) for each pair of cliques that share a vertex, in ascending
-    (i, j) order; the weight is the size of their intersection.
-    Disjoint pairs are left out: no maximum-weight spanning tree of a
-    connected chordal graph's clique graph uses a weight-0 edge."""
+    """Nodes and weighted edges (i, j, weight) with i < j, in ascending
+    (i, j) order, as `enum_max_spanning_trees` takes them.
+
+    `clique_graph` makes the reduced clique graph of a connected chordal
+    graph: the nodes are its maximal cliques, there is an edge for each
+    pair of cliques joined in some clique tree, and the weight is the
+    size of their intersection."""
 
     nodes: tuple[VertexSet, ...]
     edges: tuple[tuple[int, int, int], ...]
@@ -143,19 +156,68 @@ def is_proper(g: Graph, d: TreeDecomposition) -> bool:
     return set(d.bags) == set(max_cliques_chordal(h))
 
 
+def _clique_graph(
+    adj: Sequence[int], n: int, bags: dict[int, VertexSet]
+) -> WeightedCliqueGraph:
+    """The reduced clique graph of the connected chordal graph on ``adj``.
+
+    One read-off gives the maximal cliques, in canonical order, and
+    MinSep(H). Cliques Ci and Cj are joined in some clique tree exactly
+    when S = Ci & Cj is a minimal separator and S separates Ci - S from
+    Cj - S (Habib & Stacho 2009), so only the cliques that hold a
+    minimal separator are paired. When exactly two cliques hold S, they
+    lie in two full components of H - S and are the one pair. Otherwise
+    each holder's side of H - S is found with one walk, and it is paired
+    with the holders outside that side; two cliques that S separates
+    meet in S. ``bags`` maps clique masks to the node frozensets, so a
+    caller that keeps it across calls builds each bag once.
+    """
+    cliques, seps = _chordal_read_off(adj, n)
+    masks = _sorted_cliques(cliques, n)
+    holding = [0] * n  # bit i of holding[v]: clique i holds v
+    for i, m in enumerate(masks):
+        c = 1 << i
+        while m:
+            b = m & -m
+            holding[b.bit_length() - 1] |= c
+            m ^= b
+    edges = []
+    for s in seps:
+        held = -1
+        m = s
+        while m:
+            b = m & -m
+            held &= holding[b.bit_length() - 1]
+            m ^= b
+        w = s.bit_count()
+        if held.bit_count() == 2:
+            edges.append(((held & -held).bit_length() - 1, held.bit_length() - 1, w))
+            continue
+        rest = ((1 << n) - 1) & ~s
+        holders = list(bits(held))
+        for x, i in enumerate(holders):
+            side = _component(adj, rest, masks[i] & ~s)[0]
+            edges += [(i, j, w) for j in holders[x + 1 :] if not masks[j] & side]
+    edges.sort()
+    nodes = tuple(bags.get(m) or bags.setdefault(m, vertex_set(m)) for m in masks)
+    return WeightedCliqueGraph(nodes, tuple(edges))
+
+
 def clique_graph(h: Graph) -> WeightedCliqueGraph:
-    """The weighted clique intersection graph of a connected chordal graph."""
+    """The reduced clique graph of a connected chordal graph.
+
+    Its nodes are the maximal cliques, canonically ordered, and it has
+    an edge for each pair of cliques that some clique tree joins,
+    weighted by the size of their intersection: the union of the
+    maximum-weight spanning trees of the clique intersection graph,
+    whose other pairs it leaves out. `enum_max_spanning_trees` streams
+    the same trees from both, in the same order: a pair in no such tree
+    has its ends joined by strictly heavier edges, so the level pass
+    puts it in no group.
+    """
     if not is_connected(h):
         raise DisconnectedGraphError("clique_graph requires a connected graph")
-    masks = _max_clique_masks(h)
-    k = len(masks)
-    edges = [
-        (i, j, w)
-        for i, m in enumerate(masks)
-        for j in range(i + 1, k)
-        if (w := (m & masks[j]).bit_count())
-    ]
-    return WeightedCliqueGraph(tuple(vertex_set(m) for m in masks), tuple(edges))
+    return _clique_graph(h._adj, h.n, {})
 
 
 def clique_tree(h: Graph) -> CliqueTree:
@@ -306,14 +368,26 @@ def enum_max_spanning_trees(
     and combined like an odometer, the last group changing fastest. The
     delay is polynomial and no past tree is remembered. The first tree
     is the Kruskal tree; trees are emitted as canonically sorted edge
-    tuples. Every edge (i, j, weight) must have 0 <= i < j < k for the k
-    nodes, and no pair may repeat.
+    tuples. A graph of k - 1 edges without a cycle is its own only
+    spanning tree and is emitted without the pass. Every edge (i, j,
+    weight) must have 0 <= i < j < k for the k nodes, and no pair may
+    repeat.
     """
     k = len(wg.nodes)
     if k == 0:
         raise GraphError("clique graph has no nodes")
     if len({i * k + j for i, j, _w in wg.edges if 0 <= i < j < k}) != len(wg.edges):
         raise GraphError(f"clique graph edges must be distinct pairs i < j < {k}")
+    if len(wg.edges) == k - 1:
+        parent = list(range(k))
+        for i, j, _w in wg.edges:
+            ri, rj = _find(parent, i), _find(parent, j)
+            if ri == rj:
+                break
+            parent[rj] = ri
+        else:
+            yield tuple(sorted((i, j) for i, j, _w in wg.edges))
+            return
     fixed: list[tuple[int, int]] = []
     factors = []
     for r, group in _level_groups(k, wg.edges):
@@ -353,10 +427,13 @@ def enum_proper_tds(
     in the order of `enum_min_triangulations`. Each group starts with
     the Kruskal tree of `clique_tree`, and the rest follow in the fixed
     order of `enum_max_spanning_trees`.
+
+    Each triangulation stays adjacency masks and is read off once, into
+    its reduced clique graph. Each distinct bag is one frozenset for the
+    whole run.
     """
-    if not is_connected(g):
-        raise DisconnectedGraphError("enum_proper_tds requires a connected graph")
-    for tri in enum_min_triangulations(g, extender=extender, stats=stats, hook=hook):
-        wg = clique_graph(tri.chordal_graph)
+    bags: dict[int, VertexSet] = {}
+    for _family, adj in _saturated_families(g, extender, stats, hook):
+        wg = _clique_graph(adj, g.n, bags)
         for edges in enum_max_spanning_trees(wg):
             yield TreeDecomposition(host=g, bags=wg.nodes, edges=edges)

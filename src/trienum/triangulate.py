@@ -467,6 +467,30 @@ def separator_graph_instance(g: Graph, extender: str = "blackbox") -> ImplicitGr
     )
 
 
+def _saturated_families(
+    g: Graph,
+    extender: str,
+    stats: EnumStats | None,
+    hook: EventHook | None,
+) -> Iterator[tuple[ParallelFamily, list[int]]]:
+    """Every maximal set of pairwise-parallel minimal separators of a
+    connected g, in the independent-set engine's order, with the
+    adjacency masks of g with its members saturated: the minimal
+    triangulation it gives. The members come from the separator
+    instance, so their ranges need no check.
+
+    Raises GraphError on a graph without vertices and
+    DisconnectedGraphError on a disconnected one, at the first ``next``.
+    """
+    if g.n < 1:
+        raise GraphError("minimal triangulations require at least one vertex")
+    if not is_connected(g):
+        raise DisconnectedGraphError("minimal triangulations require a connected graph")
+    inst = separator_graph_instance(g, extender)
+    for family in enum_max_independent(inst, stats=stats, hook=hook):
+        yield family, _saturated(g, map(mask_of, family))
+
+
 def enum_min_triangulations(
     g: Graph,
     extender: str = "blackbox",
@@ -479,16 +503,11 @@ def enum_min_triangulations(
     the independent-set engine is saturated into its triangulation. A
     chordal input yields exactly itself, with an empty fill.
     """
-    if g.n < 1:
-        raise GraphError("enum_min_triangulations requires at least one vertex")
-    if not is_connected(g):
-        raise DisconnectedGraphError("enum_min_triangulations requires a connected graph")
-    inst = separator_graph_instance(g, extender)
-    for family in enum_max_independent(inst, stats=stats, hook=hook):
-        h = saturate_family(g, family)
+    for family, adj in _saturated_families(g, extender, stats, hook):
         fill = frozenset(
             (u, w)
             for u in range(g.n)
-            for w in bits((h._adj[u] & ~g._adj[u]) >> (u + 1) << (u + 1))
+            for w in bits((adj[u] & ~g._adj[u]) >> (u + 1) << (u + 1))
         )
+        h = Graph._from_masks(adj)
         yield Triangulation(base=g, fill_edges=fill, chordal_graph=h, family=family)

@@ -1,7 +1,7 @@
 import itertools
 import random
 
-from trienum import Graph, is_connected
+from trienum import Graph, is_connected, treedecomp, triangulate
 
 
 def path_graph(n):
@@ -24,6 +24,30 @@ def complete_graph(n):
 
 def star_graph(leaves):
     return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def book_graph(pages):
+    """``pages`` triangles on the edge 0-1: one separator, {0, 1}, held
+    by every maximal clique."""
+    return Graph(pages + 2, [(0, 1)] + [(v, p) for p in range(2, pages + 2) for v in (0, 1)])
+
+
+def random_chordal_graph(n, rng: random.Random) -> Graph:
+    """A connected chordal graph: each new vertex is joined to a nonempty
+    subset of a clique grown from a random earlier vertex, so the
+    reverse insertion order is a perfect elimination ordering."""
+    edges = []
+    adj = [set() for _ in range(n)]
+    for v in range(1, n):
+        clique = [rng.randrange(v)]
+        for u in rng.sample(range(v), v):
+            if u not in clique and all(u in adj[c] for c in clique):
+                clique.append(u)
+        for u in rng.sample(clique, rng.randint(1, len(clique))):
+            edges.append((u, v))
+            adj[u].add(v)
+            adj[v].add(u)
+    return Graph(n, edges)
 
 
 def all_graphs(n):
@@ -57,3 +81,41 @@ def random_connected_graph(n, p, rng: random.Random) -> Graph:
         if rng.random() < p:
             edges.add(e)
     return Graph(n, sorted(edges))
+
+
+def traced_calls(monkeypatch, run):
+    """The names that bench/tracing.py rebinds, to time each layer, that
+    ``run()`` calls. The tracer's replacements for
+    ``separator_graph_instance`` and ``enum_max_independent`` have the
+    signatures it gives them; a call that goes around a rebound name
+    leaves its layer empty."""
+    called = set()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("enum_min_seps", "crosses", "saturate_family"):
+        count(triangulate, name)
+    for name in ("enum_min_triangulations", "clique_graph", "enum_max_spanning_trees"):
+        count(treedecomp, name)
+    make_instance = triangulate.separator_graph_instance
+    engine = triangulate.enum_max_independent
+
+    def separator_graph_instance(g, extender="blackbox"):
+        called.add("separator_graph_instance")
+        return make_instance(g, extender)
+
+    def enum_max_independent(inst, stats=None, hook=None, check_invariants=False):
+        called.add("enum_max_independent")
+        return engine(inst, stats=stats, hook=hook, check_invariants=check_invariants)
+
+    for fn in (separator_graph_instance, enum_max_independent):
+        monkeypatch.setattr(triangulate, fn.__name__, fn)
+    run()
+    return called

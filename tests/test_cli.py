@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -175,6 +176,20 @@ class TestOutputsAndModes:
         assert code == 0
         assert len(answers(out, "triangulation")) == 1
         assert elapsed < 5.0
+
+    def test_ladder_treedecomps_stdout(self, tmp_path, capsys):
+        # the benchmark's ladder-treedecomps command: the 2 x 12 ladder,
+        # edges in its order; digest recorded from an earlier build
+        k = 12
+        rows = [(i, i + 1) for i in range(k - 1)] + [(k + i, k + i + 1) for i in range(k - 1)]
+        path = tmp_path / "ladder.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in rows + [(i, k + i) for i in range(k)]))
+        code, out, _ = run_cli(capsys, ["treedecomps", str(path)])
+        assert code == 0
+        assert out.count("\n") == 2049
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ef577a53093dd9c56126da60a4208b33db2499f79c0274f1d1ff53a8d167a32d"
+        )
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         path = write_cycle(tmp_path, 6)

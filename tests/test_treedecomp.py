@@ -18,6 +18,7 @@ from trienum import (
     enum_max_spanning_trees,
     enum_min_triangulations,
     enum_proper_tds,
+    extract_min_seps_chordal,
     is_connected,
     is_proper,
     is_tree_decomposition,
@@ -26,16 +27,19 @@ from trienum import (
     subsumes,
     triangulate_heuristic,
 )
-from trienum import treedecomp, triangulate
+from trienum import treedecomp
 from trienum.treedecomp import _level_groups
 
 from conftest import (
     all_connected_graphs,
+    book_graph,
     complete_graph,
     cycle_graph,
     path_graph,
+    random_chordal_graph,
     random_connected_graph,
     star_graph,
+    traced_calls,
 )
 from oracle import brute_min_triangulations, kruskal_tree
 
@@ -170,7 +174,8 @@ class TestCliqueGraph:
 
     def test_disjoint_pairs_change_no_tree(self):
         # the same trees, in the same order, as with every pair of
-        # cliques joined, disjoint ones at weight 0
+        # cliques joined, disjoint ones at weight 0; the reduced edges
+        # are exactly the union of those trees
         rng = random.Random(5)
         for _ in range(60):
             n = rng.randint(2, 12)
@@ -178,19 +183,37 @@ class TestCliqueGraph:
                 random_connected_graph(n, rng.choice([0.2, 0.4, 0.6]), rng)
             )
             wg = clique_graph(h)
-            k = len(wg.nodes)
-            every_pair = WeightedCliqueGraph(
-                wg.nodes,
-                tuple(
-                    (i, j, len(wg.nodes[i] & wg.nodes[j]))
-                    for i in range(k)
-                    for j in range(i + 1, k)
-                ),
+            every_pair = _every_pair(wg)
+            trees = list(enum_max_spanning_trees(every_pair))
+            assert list(enum_max_spanning_trees(wg)) == trees
+            assert wg.edges == tuple(
+                e for e in every_pair.edges if e[:2] in set().union(*trees)
             )
-            assert wg.edges == tuple(e for e in every_pair.edges if e[2] > 0)
+
+    def test_reduced_edges_are_the_union_of_max_spanning_trees(self):
+        # brute force over the all-pairs graph, on random chordal graphs
+        # where one separator is often held by three or more cliques
+        rng = random.Random(19)
+        graphs = [star_graph(s) for s in range(1, 6)]
+        graphs += [book_graph(p) for p in range(1, 6)]
+        graphs += [random_chordal_graph(rng.randint(1, 9), rng) for _ in range(150)]
+        shared = 0
+        for h in graphs:
+            wg = clique_graph(h)
+            if len(wg.nodes) > 6:
+                continue
+            every_pair = _every_pair(wg)
+            trees = _brute_spanning_trees(every_pair)
+            union = set().union(*trees)
+            assert wg.edges == tuple(e for e in every_pair.edges if e[:2] in union)
             assert list(enum_max_spanning_trees(wg)) == list(
                 enum_max_spanning_trees(every_pair)
             )
+            shared += any(
+                sum(s <= b for b in wg.nodes) >= 3
+                for s in extract_min_seps_chordal(h)
+            )
+        assert shared >= 50
 
     def test_non_chordal_raises(self):
         with pytest.raises(NotChordalError):
@@ -199,6 +222,19 @@ class TestCliqueGraph:
     def test_disconnected_raises(self):
         with pytest.raises(DisconnectedGraphError):
             clique_graph(Graph(3, [(0, 1)]))
+
+
+def _every_pair(wg):
+    """wg's nodes with every pair joined, weighted by intersection size."""
+    k = len(wg.nodes)
+    return WeightedCliqueGraph(
+        wg.nodes,
+        tuple(
+            (i, j, len(wg.nodes[i] & wg.nodes[j]))
+            for i in range(k)
+            for j in range(i + 1, k)
+        ),
+    )
 
 
 def _brute_spanning_trees(wg):
@@ -347,6 +383,29 @@ class TestEnumMaxSpanningTrees:
         with pytest.raises((DisconnectedGraphError, GraphError)):
             list(enum_max_spanning_trees(wg))
 
+    def test_a_tree_is_its_own_only_spanning_tree(self, monkeypatch):
+        # k - 1 edges without a cycle need no Kruskal pass
+        def no_pass(k, edges):
+            raise AssertionError("the level pass ran on a tree")
+
+        monkeypatch.setattr(treedecomp, "_level_groups", no_pass)
+        nodes = tuple(frozenset({i}) for i in range(5))
+        unsorted = ((3, 4, 1), (0, 2, 2), (1, 2, 1), (0, 3, 5))
+        wg = WeightedCliqueGraph(nodes=nodes, edges=unsorted)
+        assert list(enum_max_spanning_trees(wg)) == [((0, 2), (0, 3), (1, 2), (3, 4))]
+        path = clique_graph(path_graph(5))
+        assert list(enum_max_spanning_trees(path)) == [((0, 1), (1, 2), (2, 3))]
+        single = WeightedCliqueGraph(nodes=nodes[:1], edges=())
+        assert list(enum_max_spanning_trees(single)) == [()]
+
+    def test_k_minus_one_edges_with_a_cycle_raise(self):
+        wg = WeightedCliqueGraph(
+            nodes=tuple(frozenset({i}) for i in range(4)),
+            edges=((0, 1, 1), (0, 2, 1), (1, 2, 1)),
+        )
+        with pytest.raises(DisconnectedGraphError):
+            list(enum_max_spanning_trees(wg))
+
     @pytest.mark.parametrize(
         "edges",
         [((0, 5, 1),), ((0, -1, 1),), ((0, 1, 1), (0, 1, 1)), ((1, 0, 1),)],
@@ -445,49 +504,18 @@ class TestEnumProperTds:
 
     @pytest.mark.parametrize("extender", ["blackbox", "separator"])
     def test_calls_the_names_the_tracer_rebinds(self, extender, monkeypatch):
-        # bench/tracing.py times each layer by rebinding these module-level
-        # names, so a call that goes around one would leave its layer empty
-        called = set()
+        # the decompositions come straight from the engine's families, so
+        # the assembly, enum_min_triangulations and clique_graph are not
+        # called; the separator, crossing, engine and spanning-tree layers
+        # still are
+        def run():
+            tds = enum_proper_tds(cycle_graph(5), extender=extender)
+            assert sum(1 for _ in tds) == 5
 
-        def count(module, name):
-            fn = getattr(module, name)
-
-            def wrapper(*args, **kwargs):
-                called.add(name)
-                return fn(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, wrapper)
-
-        for name in ("enum_min_seps", "crosses", "saturate_family"):
-            count(triangulate, name)
-        for name in (
-            "enum_min_triangulations",
-            "clique_graph",
-            "enum_max_spanning_trees",
-        ):
-            count(treedecomp, name)
-        make_instance = triangulate.separator_graph_instance
-        engine = triangulate.enum_max_independent
-
-        # the tracer's replacements, with the signatures it gives them
-        def separator_graph_instance(g, extender="blackbox"):
-            called.add("separator_graph_instance")
-            return make_instance(g, extender)
-
-        def enum_max_independent(inst, stats=None, hook=None, check_invariants=False):
-            called.add("enum_max_independent")
-            return engine(inst, stats=stats, hook=hook, check_invariants=check_invariants)
-
-        for fn in (separator_graph_instance, enum_max_independent):
-            monkeypatch.setattr(triangulate, fn.__name__, fn)
-        assert sum(1 for _ in enum_proper_tds(cycle_graph(5), extender=extender)) == 5
-        assert called == {
+        assert traced_calls(monkeypatch, run) == {
             "enum_min_seps",
             "crosses",
             "separator_graph_instance",
             "enum_max_independent",
-            "saturate_family",
-            "enum_min_triangulations",
-            "clique_graph",
             "enum_max_spanning_trees",
         }

@@ -58,6 +58,7 @@ from conftest import (
     ladder_graph,
     path_graph,
     random_connected_graph,
+    traced_calls,
 )
 from oracle import (
     _is_clique,
@@ -944,3 +945,18 @@ class TestEnumMinTriangulations:
     def test_empty_graph_raises_before_any_answer(self):
         with pytest.raises(GraphError, match="at least one vertex"):
             next(enum_min_triangulations(Graph(0)))
+
+    @pytest.mark.parametrize("extender", ["blackbox", "separator"])
+    def test_calls_the_names_the_tracer_rebinds(self, extender, monkeypatch):
+        # the assembly saturates the family's masks itself, so only
+        # saturate_family is left out
+        def run():
+            tris = enum_min_triangulations(cycle_graph(5), extender=extender)
+            assert sum(1 for _ in tris) == 5
+
+        assert traced_calls(monkeypatch, run) == {
+            "enum_min_seps",
+            "crosses",
+            "separator_graph_instance",
+            "enum_max_independent",
+        }
