@@ -21,25 +21,23 @@ does, and K is printed too: a contradiction.
 
 Nodes are opaque but must be hashable, with equal nodes meaning the
 same node; the engine assigns each a dense index so that answer sets
-become integer bitmasks. For each node it keeps the bitset of the found
-answers that hold it, so whether a found answer holds I is an AND of
-|I| such bitsets, made once per distinct base.
+become integer bitmasks. The found answers are one list in discovery
+order, whose unprinted tail is the queue. For each node it keeps the
+bitset of the found answers that hold it, so whether a found answer
+holds I is an AND of |I| such bitsets, made once per distinct base.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .graph import bits
 
 Node = Any
 NodeSet = frozenset
 EventHook = Callable[[str, "EnumStats"], None]
-
-_SENTINEL = object()
 
 
 class ImplicitGraphError(RuntimeError):
@@ -50,8 +48,9 @@ class ImplicitGraphError(RuntimeError):
 class ImplicitGraph:
     """A graph given by access procedures instead of explicit storage.
 
-    node_stream        zero-argument callable returning a fresh iterator
-                       over the node universe (a single pass is used)
+    node_stream        zero-argument callable returning any iterable over
+                       the node universe; it is walked once, and a node
+                       that comes again is skipped
     adjacent           symmetric, irreflexive edge predicate
     extend_to_max_ind  grows an independent set into a maximal one; must
                        be deterministic and return a superset
@@ -61,7 +60,7 @@ class ImplicitGraph:
     of the answers; being deterministic, it makes reruns agree.
     """
 
-    node_stream: Callable[[], Iterator[Node]]
+    node_stream: Callable[[], Iterable[Node]]
     adjacent: Callable[[Node, Node], bool]
     extend_to_max_ind: Callable[[NodeSet], NodeSet]
 
@@ -84,13 +83,14 @@ def enum_max_independent(
 ) -> Iterator[NodeSet]:
     """Yield every maximal independent set of the represented graph once.
 
-    The pending-answer queue is popped FIFO. Each popped answer J is
-    emitted, then grown toward every node v pulled so far through the
-    base I, v plus J's non-neighbors of v: unless an answer found so
-    far, queued or printed, holds I, the extender completes I, and the
-    result, new by construction, is queued. When the queue drains, nodes
-    are pulled one at a time and every printed answer is grown toward
-    the new node, until new work appears or the stream ends. Each
+    Answers are printed in the order found, by a walk over the found
+    list that also sees the answers appended while it runs. Each printed
+    answer J is grown toward every node v pulled so far through the base
+    I, v plus J's non-neighbors of v: unless a found answer holds I, the
+    extender completes I, and the result, new by construction, is
+    appended. When the walk has printed every found answer, nodes are
+    pulled one at a time and every printed answer is grown toward the
+    new node, until an answer is appended or the stream ends. Each
     distinct base is looked up once, and no (J, v) step is repeated.
 
     ``stats.extender_calls`` counts the steps, not the extender runs.
@@ -117,18 +117,8 @@ def enum_max_independent(
             holders.append(0)
         return idx
 
-    def ensure_adjacency(v: int, need: int) -> None:
-        missing = need & ~adj_known[v]
-        for u in bits(missing):
-            if inst.adjacent(nodes[v], nodes[u]):
-                adj_mask[v] |= 1 << u
-                adj_mask[u] |= 1 << v
-            adj_known[v] |= 1 << u
-            adj_known[u] |= 1 << v
-
     memo: set[int] = set()  # bases already answered
-    queue: deque[int] = deque()
-    found: list[int] = []  # every answer queued or printed, in discovery order
+    found: list[int] = []  # every answer, in discovery order: printed, then queued
     holders: list[int] = []  # bit a of holders[i] is set iff found[a] holds node i
 
     def extend(imask: int) -> None:
@@ -147,13 +137,18 @@ def enum_max_independent(
         found.append(kmask)
         for i in bits(kmask):
             holders[i] |= a
-        queue.append(kmask)
 
     def grow(jmask: int, v: int) -> None:
         # growing the printed answer J toward v: the base I is v plus
         # J's non-neighbors of v; extend it unless a found answer holds it
-        if jmask & ~adj_known[v]:
-            ensure_adjacency(v, jmask)
+        missing = jmask & ~adj_known[v]
+        if missing:
+            for u in bits(missing):
+                if inst.adjacent(nodes[v], nodes[u]):
+                    adj_mask[v] |= 1 << u
+                    adj_mask[u] |= 1 << v
+                adj_known[v] |= 1 << u
+                adj_known[u] |= 1 << v
         stats.extender_calls += 1
         if hook is not None:
             hook("extend", stats)
@@ -179,11 +174,8 @@ def enum_max_independent(
     extend(0)
     pulled: list[int] = []
     pulled_set: set[int] = set()
-    stream = inst.node_stream()
-    exhausted = False
-
-    while queue:
-        imask = queue.popleft()
+    stream = iter(inst.node_stream())
+    for printed, imask in enumerate(found, 1):
         now = time.perf_counter()
         stats.delays.append(now - start)
         start = now
@@ -193,19 +185,19 @@ def enum_max_independent(
         yield frozenset(nodes[i] for i in bits(imask))
         for v in pulled:
             grow(imask, v)
-        while not queue and not exhausted:
-            node = next(stream, _SENTINEL)
-            if node is _SENTINEL:
-                exhausted = True
-                break
-            w = intern(node)
-            if w in pulled_set:
-                continue
-            pulled.append(w)
-            pulled_set.add(w)
-            stats.nodes_pulled += 1
-            if hook is not None:
-                hook("pull", stats)
-            # the queue is empty, so every found answer is printed
-            for a in range(len(found)):
-                grow(found[a], w)
+        if printed == len(found):
+            for node in stream:
+                w = intern(node)
+                if w in pulled_set:
+                    continue
+                pulled.append(w)
+                pulled_set.add(w)
+                stats.nodes_pulled += 1
+                if hook is not None:
+                    hook("pull", stats)
+                # the printed answers only: one found here is grown
+                # toward w when it is printed
+                for jmask in found[:printed]:
+                    grow(jmask, w)
+                if printed < len(found):
+                    break

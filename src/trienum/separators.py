@@ -13,7 +13,6 @@ that one object.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Iterator
 
 from .graph import (
@@ -103,16 +102,16 @@ def enum_min_seps(g: Graph) -> Iterator[Separator]:
     neighborhoods of g minus (S union N(x)). One walk of each component
     yields both the component and its neighborhood. Separators are
     yielded in the order they are found, seeds in vertex-id order, and
-    expanded in that same FIFO order, so the output order is
-    deterministic.
+    expanded in that same order, so the output order is deterministic.
 
-    Expansion is on demand: the oldest unexpanded separator is expanded
-    only when every separator found so far has been read. Before the
-    k-th separator the stream has made at most k - 1 expansions, the
-    work an expand-on-yield loop makes, and a full run makes the same
-    expansions. The delay is incremental, not polynomial per answer: one
-    gap can hold several expansions, up to the number of separators read
-    but not yet expanded.
+    Expansion is on demand. The found separators are one list, read in
+    order, and a cursor into it marks the next one to expand, which is
+    expanded only when every separator found so far has been read.
+    Before the k-th separator the stream has made at most k - 1
+    expansions, the work an expand-on-yield loop makes, and a full run
+    makes the same expansions. The delay is incremental, not polynomial
+    per answer: one gap can hold several expansions, up to the number of
+    separators read but not yet expanded.
     """
     if g.n < 1:
         raise GraphError("enum_min_seps requires at least one vertex")
@@ -121,8 +120,7 @@ def enum_min_seps(g: Graph) -> Iterator[Separator]:
     adj = g._adj
     full = (1 << g.n) - 1
     seen: set[int] = set()
-    unread: deque[int] = deque()  # found, in the order found
-    unexpanded: deque[int] = deque()  # read, in the order read
+    found: list[int] = []  # in the order found, read and expanded
 
     def push_from(removed: int) -> None:
         # the components of g minus removed, smallest member first
@@ -132,20 +130,18 @@ def enum_min_seps(g: Graph) -> Iterator[Separator]:
             remaining &= ~comp
             if nb and nb not in seen:
                 seen.add(nb)
-                unread.append(nb)
+                found.append(nb)
 
     for v in range(g.n):
         push_from(adj[v] | 1 << v)
-    while True:
-        while unread:
-            smask = unread.popleft()
-            unexpanded.append(smask)
-            yield vertex_set(smask)
-        if not unexpanded:
-            return
-        smask = unexpanded.popleft()
-        for x in bits(smask):
-            push_from(smask | adj[x])
+    expanded = 0
+    for read, smask in enumerate(found, 1):
+        yield vertex_set(smask)
+        while read == len(found) and expanded < read:
+            tmask = found[expanded]
+            expanded += 1
+            for x in bits(tmask):
+                push_from(tmask | adj[x])
 
 
 def find_min_sep(c: Graph, u: int, v: int) -> Separator:

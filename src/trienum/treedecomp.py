@@ -290,19 +290,21 @@ def _level_groups(k: int, edges: Iterable[tuple[int, int, int]]) -> list[LevelGr
 
 
 def _spanning_trees(
-    r: int, edges: list[tuple[int, int, int, int]]
+    r: int, joins: int, edges: list[tuple[int, int, int, int]]
 ) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Stream the spanning trees of a connected multigraph on nodes
-    0..r-1, given as (i, j, a, b): an edge labelled (i, j) between nodes
-    a and b. Each tree is yielded as its edges' labels, in edge order.
+    """Stream the spanning forests of a multigraph on nodes 0..r-1 that
+    is made of disjoint connected groups, given as (i, j, a, b): an edge
+    labelled (i, j) between nodes a and b. Each forest takes ``joins``
+    edges, r minus the number of groups, and is yielded as its edges'
+    labels, in edge order.
 
     Include/exclude branching over the edges in order (Read & Tarjan
     1975). An edge is taken whenever it joins two components of the
     edges taken so far, and the branch that leaves it out is entered
     only if the edges not left out still connect its ends. So every
-    branch ends in a tree, the delay is polynomial, and the first tree
-    is the greedy one. The branching keeps its own stack, so its depth
-    is not limited by the interpreter's recursion limit.
+    branch ends in a forest, the delay is polynomial, and the first
+    forest is the greedy one. The branching keeps its own stack, so its
+    depth is not limited by the interpreter's recursion limit.
     """
     full = (1 << r) - 1
     count: dict[int, int] = {}  # multiplicity of each pair, left-out edges not counted
@@ -327,7 +329,7 @@ def _spanning_trees(
     stack: list[tuple[int, int]] = []
     p = 0
     while True:
-        while len(taken) < r - 1:
+        while len(taken) < joins:
             i, j, a, b = edges[p]
             ra, rb = _find(parent, a), _find(parent, b)
             if ra != rb:
@@ -364,14 +366,16 @@ def enum_max_spanning_trees(
     heavier edges alike, by a spanning tree of the multigraph that the
     level's edges form on them. One Kruskal pass (`_level_groups`)
     finds these level groups; a group with a single spanning tree is
-    fixed, and the others are enumerated lazily by `_spanning_trees`
-    and combined like an odometer, the last group changing fastest. The
-    delay is polynomial and no past tree is remembered. The first tree
-    is the Kruskal tree; trees are emitted as canonically sorted edge
-    tuples. A graph of k - 1 edges without a cycle is its own only
-    spanning tree and is emitted without the pass. Every edge (i, j,
-    weight) must have 0 <= i < j < k for the k nodes, and no pair may
-    repeat.
+    fixed. The others are given disjoint node ids and enumerated by one
+    branching over all their edges (`_spanning_trees`). A group's edges
+    touch only its own nodes, so its decisions and connectivity tests do
+    not depend on the other groups, and the branching yields the product
+    of the groups' trees, the last group changing fastest. The delay is
+    polynomial and no past tree is remembered. The first tree is the
+    Kruskal tree; trees are emitted as canonically sorted edge tuples. A
+    graph of k - 1 edges without a cycle is its own only spanning tree
+    and is emitted without the pass. Every edge (i, j, weight) must have
+    0 <= i < j < k for the k nodes, and no pair may repeat.
     """
     k = len(wg.nodes)
     if k == 0:
@@ -389,27 +393,17 @@ def enum_max_spanning_trees(
             yield tuple(sorted((i, j) for i, j, _w in wg.edges))
             return
     fixed: list[tuple[int, int]] = []
-    factors = []
-    for r, group in _level_groups(k, wg.edges):
-        if len(group) == r - 1:
+    edges: list[tuple[int, int, int, int]] = []
+    r = joins = 0
+    for size, group in _level_groups(k, wg.edges):
+        if len(group) == size - 1:
             fixed += [(i, j) for i, j, _a, _b in group]
         else:
-            factors.append((r, group))
-    streams = [_spanning_trees(r, group) for r, group in factors]
-    current = [next(s) for s in streams]
-    while True:
-        yield tuple(sorted(fixed + [e for tree in current for e in tree]))
-        f = len(factors) - 1
-        while f >= 0:
-            tree = next(streams[f], None)
-            if tree is not None:
-                current[f] = tree
-                break
-            streams[f] = _spanning_trees(*factors[f])
-            current[f] = next(streams[f])
-            f -= 1
-        if f < 0:
-            return
+            edges += [(i, j, a + r, b + r) for i, j, a, b in group]
+            r += size
+            joins += size - 1
+    for forest in _spanning_trees(r, joins, edges):
+        yield tuple(sorted(fixed + list(forest)))
 
 
 def enum_proper_tds(

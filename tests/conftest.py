@@ -1,7 +1,7 @@
 import itertools
 import random
 
-from trienum import Graph, is_connected, treedecomp, triangulate
+from trienum import Graph, WeightedCliqueGraph, is_connected, treedecomp, triangulate
 
 
 def path_graph(n):
@@ -81,6 +81,26 @@ def random_connected_graph(n, p, rng: random.Random) -> Graph:
         if rng.random() < p:
             edges.add(e)
     return Graph(n, sorted(edges))
+
+
+def random_weighted_graph(k, rng):
+    """A complete graph on k nodes with weights from {0, 1, 2}: 2 inside
+    a random block, 1 between blocks of one random group, 0 elsewhere,
+    and one weight in five redrawn. So many of these graphs tie on
+    several levels, and in many the positive edges leave the graph
+    disconnected."""
+    group = [rng.randrange(2) for _ in range(k)]
+    block = [2 * g + rng.randrange(2) for g in group]
+
+    def weight(i, j):
+        if rng.random() < 0.2:
+            return rng.choice((0, 1, 2))
+        return 2 if block[i] == block[j] else int(group[i] == group[j])
+
+    return WeightedCliqueGraph(
+        nodes=tuple(frozenset({i}) for i in range(k)),
+        edges=tuple((i, j, weight(i, j)) for i in range(k) for j in range(i + 1, k)),
+    )
 
 
 def traced_calls(monkeypatch, run):

@@ -37,18 +37,34 @@ def test_sources_found():
     assert {"graph.py", "separators.py", "triangulate.py"} <= set(_modules())
 
 
-def test_no_unused_package_imports():
+def _unused_imports(tree):
+    """The names that the tree's imports bind and that it never reads:
+    ``import x``, ``import x.y`` (which binds x), and relative or
+    absolute ``from x import y``. ``__future__`` imports bind nothing."""
+    used = _loaded_names(tree)
     unused = []
-    for name, tree in _modules().items():
-        if name == "__init__.py":  # re-exports
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound = [alias.asname or alias.name for alias in node.names]
+        else:
             continue
-        used = _loaded_names(tree)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.level:
-                for alias in node.names:
-                    bound = alias.asname or alias.name
-                    if bound not in used:
-                        unused.append(f"{name}: {bound} from .{node.module}")
+        unused += [name for name in bound if name not in used]
+    return unused
+
+
+def test_no_unused_package_imports():
+    leftover = "from __future__ import annotations\nimport os.path\nimport time\n"
+    leftover += "from collections import deque\nfrom .graph import bits\ntime.sleep\n"
+    # the scan catches absolute imports as well as relative ones
+    assert _unused_imports(ast.parse(leftover)) == ["os", "deque", "bits"]
+    unused = [
+        f"{name}: {bound}"
+        for name, tree in _modules().items()
+        if name != "__init__.py"  # re-exports
+        for bound in _unused_imports(tree)
+    ]
     assert unused == []
 
 

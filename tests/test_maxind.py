@@ -249,6 +249,43 @@ class TestStatsAndHooks:
         assert first == second
 
 
+class TestNodeStreams:
+    """``node_stream`` may return any iterable. The engine walks it once
+    and skips a node that it has pulled before."""
+
+    @staticmethod
+    def variants(inst):
+        def listed():
+            return list(inst.node_stream())
+
+        def twice():
+            for node in inst.node_stream():
+                yield node
+                yield node
+
+        return [dataclasses.replace(inst, node_stream=f) for f in (listed, twice)]
+
+    def test_lists_and_repeats_give_the_plain_run(self):
+        rng = random.Random(5)
+        for inst in (
+            explicit_graph_instance(cycle_graph(7)),
+            separator_graph_instance(cycle_graph(7)),
+            separator_graph_instance(random_connected_graph(8, 0.3, rng), "separator"),
+        ):
+            plain = list(enum_max_independent(inst))
+            distinct = len(set(inst.node_stream()))
+            for variant in self.variants(inst):
+                stats = EnumStats()
+                events = []
+                got = list(
+                    enum_max_independent(
+                        variant, stats=stats, hook=lambda name, s: events.append(name)
+                    )
+                )
+                assert got == plain
+                assert stats.nodes_pulled == events.count("pull") == distinct
+
+
 class TestContractEnforcement:
     def test_dropping_input_raises(self):
         g = path_graph(3)

@@ -3,8 +3,9 @@
 Each test hashes an answer stream, in the order it comes out, and
 compares it with a digest recorded from an earlier implementation.
 Reruns of one build agree by construction; these pin the order across
-changes to the component sweep, the split, min-fill, the extenders and
-the separator read-off. A digest is re-recorded only when a change
+changes to the component sweep, the split, min-fill, the extenders,
+the separator read-off, the engine's walk and the spanning-tree
+branching. A digest is re-recorded only when a change
 moves the order on purpose, and an order-free check beside it keeps
 the set of rows.
 """
@@ -17,6 +18,8 @@ from itertools import islice
 from trienum import (
     crosses,
     decompose,
+    enum_max_independent,
+    enum_max_spanning_trees,
     enum_min_seps,
     enum_min_triangulations,
     enum_proper_tds,
@@ -24,9 +27,18 @@ from trienum import (
     extend_family_separator,
     find_min_sep,
     is_minimal_triangulation,
+    separator_graph_instance,
 )
+from trienum.treedecomp import _level_groups
 
-from conftest import cycle_graph, ladder_graph, random_connected_graph, star_graph
+from conftest import (
+    cycle_graph,
+    ladder_graph,
+    random_connected_graph,
+    random_weighted_graph,
+    star_graph,
+)
+from oracle import explicit_graph_instance
 
 
 def _digest(rows):
@@ -100,6 +112,16 @@ def _treedecomp_rows(g, extender="blackbox"):
         (tuple(tuple(sorted(b)) for b in d.bags), d.edges)
         for d in enum_proper_tds(g, extender)
     ]
+
+
+def _engine_events(inst, limit=None):
+    """The names of the engine's hook events, in order, up to the
+    limit-th answer."""
+    events = []
+    answers = enum_max_independent(inst, hook=lambda name, _stats: events.append(name))
+    for _ in islice(answers, limit):
+        pass
+    return events
 
 
 def test_separator_stream_order():
@@ -188,3 +210,49 @@ def test_random_graph_tree_decompositions():
             "7f47a0da9b13c0d53ed8f2d56abe475cf2042cf5bb8ff455587bfdf06ed3e9dd"
         )
         assert _digest(rows) == digest
+
+
+def test_engine_event_order():
+    # when the engine pulls and grows, not only what it emits: a walk
+    # that pulls one step early or late moves these
+    g = random_connected_graph(30, 0.2, random.Random(1))
+    for inst, limit, count, digest in (
+        (
+            separator_graph_instance(cycle_graph(11)),
+            None,
+            218835,
+            "4f1d59f3dd2df3ae8af37b7a6d051af60387c1a5e93db0dac15966ef7a56d6bf",
+        ),
+        (
+            separator_graph_instance(g),
+            300,
+            4201,
+            "010e272b1982927f93b8102c266e0513a59211730ae74accd6a3a6b1a7fd0569",
+        ),
+        (
+            explicit_graph_instance(cycle_graph(7)),
+            None,
+            64,
+            "66f3d6e45f6f6b33ce7384e68cc0cc1f21ca4df42287fd2d7a53ea934f895209",
+        ),
+    ):
+        events = _engine_events(inst, limit)
+        assert (len(events), _digest(events)) == (count, digest)
+
+
+def test_max_spanning_tree_order_on_tied_levels():
+    # generic weighted graphs, weight-0 levels included, several of them
+    # with two or more level groups that have several spanning trees
+    rng = random.Random(7)
+    rows = []
+    several = 0
+    for _ in range(40):
+        wg = random_weighted_graph(rng.randint(2, 7), rng)
+        groups = _level_groups(len(wg.nodes), wg.edges)
+        several += sum(len(group) > r - 1 for r, group in groups) >= 2
+        rows.append((wg.edges, list(enum_max_spanning_trees(wg))))
+    assert several >= 5
+    assert sum(len(trees) for _edges, trees in rows) == 1127
+    assert _digest(rows) == (
+        "c29343240685f4c0209d6ed74baadf8e576552eeeba62e13a3a93ac936fcc978"
+    )

@@ -38,6 +38,7 @@ from conftest import (
     path_graph,
     random_chordal_graph,
     random_connected_graph,
+    random_weighted_graph,
     star_graph,
     traced_calls,
 )
@@ -266,26 +267,6 @@ def _brute_spanning_trees(wg):
     return {t for t in trees if sum(weight[e] for e in t) == best}
 
 
-def _random_weighted_graph(k, rng):
-    """A complete graph on k nodes with weights from {0, 1, 2}: 2 inside
-    a random block, 1 between blocks of one random group, 0 elsewhere,
-    and one weight in five redrawn. So many of these graphs tie on
-    several levels, and in many the positive edges leave the graph
-    disconnected."""
-    group = [rng.randrange(2) for _ in range(k)]
-    block = [2 * g + rng.randrange(2) for g in group]
-
-    def weight(i, j):
-        if rng.random() < 0.2:
-            return rng.choice((0, 1, 2))
-        return 2 if block[i] == block[j] else int(group[i] == group[j])
-
-    return WeightedCliqueGraph(
-        nodes=tuple(frozenset({i}) for i in range(k)),
-        edges=tuple((i, j, weight(i, j)) for i in range(k) for j in range(i + 1, k)),
-    )
-
-
 class TestEnumMaxSpanningTrees:
     def test_triangle_equal_weights(self):
         wg = WeightedCliqueGraph(
@@ -332,7 +313,7 @@ class TestEnumMaxSpanningTrees:
         rng = random.Random(7)
         several_tied_levels = zero_level_factor = 0
         for _ in range(40):
-            wg = _random_weighted_graph(rng.randint(2, 7), rng)
+            wg = random_weighted_graph(rng.randint(2, 7), rng)
             k = len(wg.nodes)
             got = list(enum_max_spanning_trees(wg))
             assert len(got) == len(set(got))
@@ -355,7 +336,7 @@ class TestEnumMaxSpanningTrees:
     def test_first_tree_is_kruskal_tree(self):
         rng = random.Random(8)
         for _ in range(40):
-            wg = _random_weighted_graph(rng.randint(1, 7), rng)
+            wg = random_weighted_graph(rng.randint(1, 7), rng)
             first = next(enum_max_spanning_trees(wg))
             assert first == tuple(kruskal_tree(len(wg.nodes), wg.edges))
 
