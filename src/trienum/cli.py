@@ -70,10 +70,10 @@ def _dot(name: str, node: str, labels: list[list[int]], edges: list[list[int]]) 
     return "\n".join(lines)
 
 
-def _percentile(samples: list[float], q: float) -> float:
-    if not samples:
+def _percentile(ordered: list[float], q: float) -> float:
+    """The nearest-rank q-quantile of samples sorted ascending."""
+    if not ordered:
         return 0.0
-    ordered = sorted(samples)
     pos = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
     return ordered[pos]
 
@@ -165,12 +165,13 @@ def _stats(sub: Graph, orig: Ids, args: argparse.Namespace) -> Iterator[Any]:
     }
     if args.delay_stats:
         ms = [d * 1000.0 for d in stats.delays]
+        ordered = sorted(ms)
         answer["delay_ms"] = {
             "first": ms[0] if ms else 0.0,
-            "p50": _percentile(ms, 0.50),
-            "p90": _percentile(ms, 0.90),
-            "p99": _percentile(ms, 0.99),
-            "max": max(ms) if ms else 0.0,
+            "p50": _percentile(ordered, 0.50),
+            "p90": _percentile(ordered, 0.90),
+            "p99": _percentile(ordered, 0.99),
+            "max": ordered[-1] if ordered else 0.0,
         }
     yield answer
 

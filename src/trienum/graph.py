@@ -297,14 +297,21 @@ def _peo_read_off(
     return [c for c, taken in closed.items() if not taken], seps
 
 
-def _chordal_read_off(adj: Sequence[int], n: int) -> tuple[list[int], set[int]]:
-    """The maximal cliques and the minimal separators, as masks, read off
-    the peeling order. Raises NotChordalError when the peel leaves
-    vertices, that is, when the graph is not chordal."""
+def _peeling_order(adj: Sequence[int], n: int) -> list[int]:
+    """The peeling order, a perfect elimination ordering. Raises
+    NotChordalError when the peel leaves vertices, that is, when the
+    graph is not chordal."""
     order, left = _peel(adj, n)
     if left:
         raise NotChordalError("input graph is not chordal")
-    return _peo_read_off(adj, order)
+    return order
+
+
+def _chordal_read_off(adj: Sequence[int], n: int) -> tuple[list[int], set[int]]:
+    """The maximal cliques and the minimal separators, as masks, read off
+    the peeling order. Raises NotChordalError on a graph that is not
+    chordal."""
+    return _peo_read_off(adj, _peeling_order(adj, n))
 
 
 def is_chordal(g: Graph) -> bool:

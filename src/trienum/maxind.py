@@ -54,15 +54,22 @@ class ImplicitGraph:
     adjacent           symmetric, irreflexive edge predicate
     extend_to_max_ind  grows an independent set into a maximal one; must
                        be deterministic and return a superset
+    payloads           optional, never read by the engine: where the
+                       instance lets a reader collect one item per
+                       extender run
 
     Nodes must be hashable: the engine tells them apart by value. It
     runs the extender once per answer, so the extender fixes the order
-    of the answers; being deterministic, it makes reruns agree.
+    of the answers; being deterministic, it makes reruns agree. Answers
+    are printed in the order their runs found them, so a reader that
+    collects the items in a FIFO and takes one per printed answer gets
+    that answer's item, and holds one per found answer not yet printed.
     """
 
     node_stream: Callable[[], Iterable[Node]]
     adjacent: Callable[[Node, Node], bool]
     extend_to_max_ind: Callable[[NodeSet], NodeSet]
+    payloads: Any = None
 
 
 @dataclass
@@ -141,6 +148,13 @@ def enum_max_independent(
     def grow(jmask: int, v: int) -> None:
         # growing the printed answer J toward v: the base I is v plus
         # J's non-neighbors of v; extend it unless a found answer holds it
+        stats.extender_calls += 1
+        if hook is not None:
+            hook("extend", stats)
+        if jmask >> v & 1:
+            # J already contains v, is maximal, and is printed; its other
+            # members are v's non-neighbors, so none is tested
+            return
         missing = jmask & ~adj_known[v]
         if missing:
             for u in bits(missing):
@@ -149,11 +163,6 @@ def enum_max_independent(
                     adj_mask[u] |= 1 << v
                 adj_known[v] |= 1 << u
                 adj_known[u] |= 1 << v
-        stats.extender_calls += 1
-        if hook is not None:
-            hook("extend", stats)
-        if jmask >> v & 1:
-            return  # J already contains v, is maximal, and is printed
         imask = (jmask & ~adj_mask[v]) | 1 << v
         if imask in memo:
             return

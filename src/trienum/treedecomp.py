@@ -29,8 +29,9 @@ from .graph import (
     Graph,
     GraphError,
     VertexSet,
-    _chordal_read_off,
     _component,
+    _peeling_order,
+    _peo_read_off,
     _sorted_cliques,
     bits,
     is_connected,
@@ -39,7 +40,7 @@ from .graph import (
     vertex_set,
 )
 from .maxind import EnumStats, EventHook
-from .triangulate import _saturated, _saturated_families, is_minimal_triangulation
+from .triangulate import _found_triangulations, _saturated, is_minimal_triangulation
 
 # Not called here: the benchmark's tracer times the triangulation layer
 # by rebinding this name in this module and in `cli`, so it stays
@@ -157,13 +158,18 @@ def is_proper(g: Graph, d: TreeDecomposition) -> bool:
 
 
 def _clique_graph(
-    adj: Sequence[int], n: int, bags: dict[int, VertexSet]
+    adj: Sequence[int],
+    n: int,
+    bags: dict[int, VertexSet],
+    order: list[int] | None = None,
 ) -> WeightedCliqueGraph:
     """The reduced clique graph of the connected chordal graph on ``adj``.
 
     One read-off gives the maximal cliques, in canonical order, and
-    MinSep(H). Cliques Ci and Cj are joined in some clique tree exactly
-    when S = Ci & Cj is a minimal separator and S separates Ci - S from
+    MinSep(H): it walks ``order`` when one is given, which must be a
+    perfect elimination ordering of H, and otherwise peels H for one.
+    Cliques Ci and Cj are joined in some clique tree exactly when
+    S = Ci & Cj is a minimal separator and S separates Ci - S from
     Cj - S (Habib & Stacho 2009), so only the cliques that hold a
     minimal separator are paired. When exactly two cliques hold S, they
     lie in two full components of H - S and are the one pair. Otherwise
@@ -172,7 +178,9 @@ def _clique_graph(
     meet in S. ``bags`` maps clique masks to the node frozensets, so a
     caller that keeps it across calls builds each bag once.
     """
-    cliques, seps = _chordal_read_off(adj, n)
+    if order is None:
+        order = _peeling_order(adj, n)
+    cliques, seps = _peo_read_off(adj, order)
     masks = _sorted_cliques(cliques, n)
     holding = [0] * n  # bit i of holding[v]: clique i holds v
     for i, m in enumerate(masks):
@@ -422,12 +430,13 @@ def enum_proper_tds(
     the Kruskal tree of `clique_tree`, and the rest follow in the fixed
     order of `enum_max_spanning_trees`.
 
-    Each triangulation stays adjacency masks and is read off once, into
-    its reduced clique graph. Each distinct bag is one frozenset for the
-    whole run.
+    Each triangulation is the one its extender run ended with, kept as
+    adjacency masks, and is read off into its reduced clique graph along
+    the run's elimination order, or along a peel when the run has none.
+    Each distinct bag is one frozenset for the whole run.
     """
     bags: dict[int, VertexSet] = {}
-    for _family, adj in _saturated_families(g, extender, stats, hook):
-        wg = _clique_graph(adj, g.n, bags)
+    for _family, adj, order in _found_triangulations(g, extender, stats, hook):
+        wg = _clique_graph(adj, g.n, bags, order)
         for edges in enum_max_spanning_trees(wg):
             yield TreeDecomposition(host=g, bags=wg.nodes, edges=edges)

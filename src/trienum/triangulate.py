@@ -12,18 +12,18 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeAlias
 
 from .graph import (
     DisconnectedGraphError,
     Graph,
     GraphError,
     _check_subset,
-    _chordal_read_off,
     _component,
     _components_masks,
     _is_clique,
     _peel,
+    _peeling_order,
     _peo_read_off,
     _saturate,
     bits,
@@ -43,6 +43,11 @@ from .separators import (
 )
 
 ParallelFamily = frozenset[Separator]
+# an extender run's minimal triangulation H, packed by ``_packed`` since
+# many runs' payloads wait at once, and the perfect elimination ordering
+# of H that the run read MinSep off, if it did; quoted, so that no typing
+# union is built at import
+Payload: TypeAlias = "tuple[int, list[int] | None]"
 
 
 @dataclass(frozen=True)
@@ -91,6 +96,22 @@ def _saturated(g: Graph, masks: Iterable[int]) -> list[int]:
     for m in masks:
         _saturate(adj, m)
     return adj
+
+
+def _packed(adj: list[int]) -> int:
+    """The adjacency masks of a graph on n vertices as one int: row v at
+    bits v*n to v*n + n - 1. ``_unpacked`` reads them back."""
+    n = len(adj)
+    h = shift = 0
+    for m in adj:
+        h |= m << shift
+        shift += n
+    return h
+
+
+def _unpacked(h: int, n: int) -> list[int]:
+    full = (1 << n) - 1
+    return [h >> shift & full for shift in range(0, n * n, n)]
 
 
 def saturate_family(g: Graph, phi: Iterable[Iterable[int]]) -> Graph:
@@ -268,21 +289,26 @@ def is_minimal_triangulation(g: Graph, h: Graph) -> bool:
         return False
 
 
-def _extend_blackbox(g: Graph, fam: Iterable[int]) -> set[int]:
-    """MinSep of the minimal triangulation that min-fill and the sandwich
-    step make of g with the family's masks saturated, as masks.
+def _extend_blackbox(
+    g: Graph, fam: Iterable[int], runs: deque[Payload] | None = None
+) -> set[int]:
+    """MinSep of the minimal triangulation H that min-fill and the
+    sandwich step make of g with the family's masks saturated, as masks.
 
-    When the sandwich step keeps every fill edge, the graph is min-fill's
-    result and its elimination order is perfect, so ``_peo_read_off``
-    walks it. A dropped fill edge may have joined two later neighbors of
-    a vertex, so then the graph is peeled again and its peeling order is
-    walked instead; a result that is not chordal raises NotChordalError.
+    When the sandwich step keeps every fill edge, H is min-fill's result
+    and its elimination order is perfect, so ``_peo_read_off`` walks it.
+    A dropped fill edge may have joined two later neighbors of a vertex,
+    so then H is peeled again and its peeling order is walked instead; a
+    result that is not chordal raises NotChordalError. Given ``runs``,
+    it appends H, packed, and the order it walked.
     """
     adj = _saturated(g, fam)
     fill, order = _minfill_masks(adj, g.n)
-    if len(_sandwich_masks(adj, fill)) == len(fill):
-        return _peo_read_off(adj, order)[1]
-    return _chordal_read_off(adj, g.n)[1]
+    if len(_sandwich_masks(adj, fill)) < len(fill):
+        order = _peeling_order(adj, g.n)
+    if runs is not None:
+        runs.append((_packed(adj), order))
+    return _peo_read_off(adj, order)[1]
 
 
 def extend_family_blackbox(g: Graph, phi: Iterable[Iterable[int]]) -> ParallelFamily:
@@ -395,10 +421,20 @@ def _choose_min_sep(adj: list[int], piece: int) -> int:
     return 0
 
 
-def _extend_separator(g: Graph, fam: Iterable[int]) -> set[int]:
+def _extend_separator(
+    g: Graph, fam: Iterable[int], runs: deque[Payload] | None = None
+) -> set[int]:
+    """The boundaries of every split that ``_split_and_route`` makes of g
+    along the family and then along ``_choose_min_sep``, as masks. Every
+    split saturates a member of the result, so the graph it leaves is the
+    result's triangulation; given ``runs``, it appends that graph, packed,
+    with no elimination order."""
     fam = list(fam)
-    _, boundaries = _split_and_route(list(g._adj), fam, _choose_min_sep)
+    adj = list(g._adj)
+    _, boundaries = _split_and_route(adj, fam, _choose_min_sep)
     boundaries.update(fam)
+    if runs is not None:
+        runs.append((_packed(adj), None))
     return boundaries
 
 
@@ -417,7 +453,9 @@ def extend_family_separator(g: Graph, phi: Iterable[Iterable[int]]) -> ParallelF
     return frozenset(map(vertex_set, _extend_separator(g, _check_family(g, phi))))
 
 
-_EXTENDER_IMPL: dict[str, Callable[[Graph, Iterable[int]], set[int]]] = {
+_EXTENDER_IMPL: dict[
+    str, Callable[[Graph, Iterable[int], deque[Payload] | None], set[int]]
+] = {
     "blackbox": _extend_blackbox,
     "separator": _extend_separator,
 }
@@ -435,6 +473,13 @@ def separator_graph_instance(g: Graph, extender: str = "blackbox") -> ImplicitGr
     mask. Separators from the stream and from the extender come out as
     those objects, so the engine meets each separator as one object, and
     the extender works on the masks.
+
+    The instance's ``payloads`` is a one-slot list, None at first, so
+    that extending keeps nothing. A reader that puts a deque in the slot
+    gets one ``Payload`` per extender run from then on: the minimal
+    triangulation whose MinSep the run returned, which is g with the
+    result saturated (Parra & Scheffler 1997), and, from the blackbox
+    extender, the perfect elimination ordering it read MinSep off.
     """
     if extender not in _EXTENDER_IMPL:
         raise ValueError(f"unknown extender {extender!r}; expected one of {EXTENDERS}")
@@ -443,6 +488,8 @@ def separator_graph_instance(g: Graph, extender: str = "blackbox") -> ImplicitGr
     extend = _EXTENDER_IMPL[extender]
     masks: dict[Separator, int] = {}
     objects: dict[int, Separator] = {}
+    # the slot a reader of the payloads puts its FIFO in
+    sink: list[deque[Payload] | None] = [None]
 
     def mask(s: Separator) -> int:
         m = masks.get(s)
@@ -462,22 +509,24 @@ def separator_graph_instance(g: Graph, extender: str = "blackbox") -> ImplicitGr
         node_stream=lambda: (objects[mask(s)] for s in enum_min_seps(g)),
         adjacent=lambda s, t: crosses(g, s, t),
         extend_to_max_ind=lambda fam: frozenset(
-            map(separator, extend(g, map(mask, fam)))
+            map(separator, extend(g, map(mask, fam), sink[0]))
         ),
+        payloads=sink,
     )
 
 
-def _saturated_families(
+def _found_triangulations(
     g: Graph,
     extender: str,
     stats: EnumStats | None,
     hook: EventHook | None,
-) -> Iterator[tuple[ParallelFamily, list[int]]]:
+) -> Iterator[tuple[ParallelFamily, list[int], list[int] | None]]:
     """Every maximal set of pairwise-parallel minimal separators of a
-    connected g, in the independent-set engine's order, with the
-    adjacency masks of g with its members saturated: the minimal
-    triangulation it gives. The members come from the separator
-    instance, so their ranges need no check.
+    connected g, in the independent-set engine's order, with the minimal
+    triangulation it gives, as adjacency masks, and a perfect
+    elimination ordering of it, or None: what the extender run that
+    found the family handed over. The engine prints the families in the
+    order their runs found them, so each takes the oldest payload.
 
     Raises GraphError on a graph without vertices and
     DisconnectedGraphError on a disconnected one, at the first ``next``.
@@ -487,8 +536,11 @@ def _saturated_families(
     if not is_connected(g):
         raise DisconnectedGraphError("minimal triangulations require a connected graph")
     inst = separator_graph_instance(g, extender)
+    runs: deque[Payload] = deque()
+    inst.payloads[0] = runs
     for family in enum_max_independent(inst, stats=stats, hook=hook):
-        yield family, _saturated(g, map(mask_of, family))
+        h, order = runs.popleft()
+        yield family, _unpacked(h, g.n), order
 
 
 def enum_min_triangulations(
@@ -500,10 +552,11 @@ def enum_min_triangulations(
     """Stream every minimal triangulation of a connected graph once.
 
     Each maximal set of pairwise-parallel minimal separators produced by
-    the independent-set engine is saturated into its triangulation. A
-    chordal input yields exactly itself, with an empty fill.
+    the independent-set engine comes with its triangulation, the one
+    that the extender run which found it ended with. A chordal input
+    yields exactly itself, with an empty fill.
     """
-    for family, adj in _saturated_families(g, extender, stats, hook):
+    for family, adj, _order in _found_triangulations(g, extender, stats, hook):
         fill = frozenset(
             (u, w)
             for u in range(g.n)

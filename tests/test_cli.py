@@ -115,6 +115,28 @@ class TestCommands:
         }
         assert set(rec["answer"]["delay_ms"]) == {"first", "p50", "p90", "p99", "max"}
 
+    def test_delay_stats_are_nearest_rank_percentiles(self, tmp_path, capsys, monkeypatch):
+        # the delays come in run order; the first is kept as it came
+        delays = [0.007, 0.001, 0.009, 0.003, 0.002, 0.004, 0.008, 0.006, 0.005, 0.010, 0.0005]
+
+        def enum_min_triangulations(sub, extender, stats):
+            stats.delays.extend(delays)
+            yield from range(len(delays))
+
+        monkeypatch.setattr(cli, "enum_min_triangulations", enum_min_triangulations)
+        path = write_cycle(tmp_path, 6)
+        code, out, _ = run_cli(capsys, ["stats", path, "--format", "dimacs", "--delay-stats"])
+        assert code == 0
+        (rec,) = answers(out, "stats")
+        ms = sorted(d * 1000.0 for d in delays)
+        assert rec["answer"]["delay_ms"] == {
+            "first": delays[0] * 1000.0,
+            "p50": ms[5],
+            "p90": ms[9],
+            "p99": ms[10],
+            "max": ms[10],
+        }
+
     def test_crossgraph_on_c5(self, tmp_path, capsys):
         path = write_cycle(tmp_path, 5)
         code, out, _ = run_cli(capsys, ["crossgraph", path, "--format", "dimacs"])

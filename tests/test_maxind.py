@@ -195,6 +195,28 @@ class TestOneExtenderRunPerAnswer:
             assert len(runs) == len(answers) == len(set(answers))
 
 
+class TestAdjacencyTests:
+    """The engine asks the adjacency predicate only what a base needs."""
+
+    def test_a_step_toward_a_member_tests_nothing(self):
+        # every minimal separator of a path is one inner vertex, and none
+        # crosses another: the first answer holds every node, so each
+        # step is toward a member of that answer and needs no test
+        inst = separator_graph_instance(path_graph(100))
+        tests = []
+
+        def adjacent(s, t):
+            tests.append((s, t))
+            return inst.adjacent(s, t)
+
+        stats = EnumStats()
+        counted = dataclasses.replace(inst, adjacent=adjacent)
+        answers = list(enum_max_independent(counted, stats=stats))
+        assert len(answers) == 1 and len(answers[0]) == 98
+        assert stats.extender_calls == 99
+        assert tests == []
+
+
 class TestStatsAndHooks:
     def test_counters(self):
         g = cycle_graph(6)

@@ -1,8 +1,9 @@
+import dataclasses
 import inspect
 import itertools
 import random
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -23,18 +24,21 @@ from trienum import (
     is_proper,
     is_tree_decomposition,
     max_cliques_chordal,
+    saturate_family,
     saturate_td,
     subsumes,
     triangulate_heuristic,
 )
-from trienum import treedecomp
+from trienum import graph, treedecomp, triangulate
 from trienum.treedecomp import _level_groups
 
 from conftest import (
+    FALLBACK_EDGES,
     all_connected_graphs,
     book_graph,
     complete_graph,
     cycle_graph,
+    ladder_graph,
     path_graph,
     random_chordal_graph,
     random_connected_graph,
@@ -500,3 +504,134 @@ class TestEnumProperTds:
             "enum_max_independent",
             "enum_max_spanning_trees",
         }
+
+
+def _answers(g, extender):
+    """The fills of every minimal triangulation of g and the (bags,
+    edges) of every proper tree decomposition, in order."""
+    tris = [t.fill_edges for t in enum_min_triangulations(g, extender)]
+    tds = [(d.bags, d.edges) for d in enum_proper_tds(g, extender)]
+    return tris, tds
+
+
+class TestEachAnswerFromItsExtenderRun:
+    """Each answer's triangulation, and the blackbox extender's
+    elimination order of it, come from the extender run that found the
+    answer; the per-answer assembly rebuilds neither."""
+
+    @pytest.mark.parametrize(
+        "g, fallbacks",
+        [(ladder_graph(6), 0), (cycle_graph(8), 0), (Graph(14, FALLBACK_EDGES), 1)],
+        ids=["ladder6", "c8", "fallback"],
+    )
+    def test_one_peel_per_run_and_no_saturation_after_it(self, g, fallbacks, monkeypatch):
+        counts = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        peel = counted("peel", graph._peel)
+        for module in (graph, triangulate):
+            monkeypatch.setattr(module, "_peel", peel)
+        for module in (triangulate, treedecomp):
+            monkeypatch.setattr(module, "_saturated", counted("saturated", triangulate._saturated))
+        sandwich = triangulate._sandwich_masks
+
+        def fallback_counted(adj, fill):
+            kept = sandwich(adj, fill)
+            counts["fallback"] += len(kept) < len(fill)
+            return kept
+
+        monkeypatch.setattr(triangulate, "_sandwich_masks", fallback_counted)
+        make_instance = triangulate.separator_graph_instance
+        instances = []
+
+        def separator_graph_instance(g, extender="blackbox"):
+            inst = make_instance(g, extender)
+            extend = inst.extend_to_max_ind
+
+            def run(fam):
+                counts["run"] += 1
+                return extend(fam)
+
+            instances.append(inst)
+            return dataclasses.replace(inst, extend_to_max_ind=run)
+
+        monkeypatch.setattr(triangulate, "separator_graph_instance", separator_graph_instance)
+        waiting = []
+
+        def hook(name, stats):
+            if name == "emit":
+                # the answer being emitted is found and not yet printed
+                unprinted = counts["run"] - stats.answers_emitted + 1
+                waiting.append((len(instances[0].payloads[0]), unprinted))
+
+        tds = sum(1 for _ in enum_proper_tds(g, "blackbox", hook=hook))
+        assert tds >= len(waiting) > 1
+        assert counts["run"] == len(waiting)
+        assert counts["fallback"] == fallbacks
+        assert counts["peel"] == counts["run"] + counts["fallback"]
+        assert counts["saturated"] == counts["run"]
+        assert all(held == unprinted for held, unprinted in waiting)
+        assert max(held for held, _ in waiting) > 1
+        assert not instances[0].payloads[0]
+
+    @pytest.mark.parametrize("extender", ["blackbox", "separator"])
+    def test_a_direct_engine_run_keeps_no_payloads(self, extender, monkeypatch):
+        # only a reader that asks for the payloads gets them kept
+        appended = []
+        for name in ("_extend_blackbox", "_extend_separator"):
+            extend = getattr(triangulate, name)
+
+            def spy(g, fam, runs=None, extend=extend):
+                appended.append(runs)
+                return extend(g, fam, runs)
+
+            monkeypatch.setitem(triangulate._EXTENDER_IMPL, name.removeprefix("_extend_"), spy)
+        inst = triangulate.separator_graph_instance(cycle_graph(9), extender)
+        assert sum(1 for _ in triangulate.enum_max_independent(inst)) == 429
+        assert inst.payloads == [None]
+        assert len(appended) == 429 and set(appended) == {None}
+
+    @pytest.mark.parametrize("extender", ["blackbox", "separator"])
+    def test_past_one_byte_vertex_ids(self, extender):
+        g = path_graph(300)
+        tris = list(enum_min_triangulations(g, extender))
+        assert len(tris) == 1
+        assert tris[0].fill_edges == frozenset()
+        assert tris[0].chordal_graph == g
+        tds = list(enum_proper_tds(g, extender))
+        assert len(tds) == 1
+        assert tds[0].bags == tuple(frozenset({i, i + 1}) for i in range(299))
+        assert tds[0].edges == tuple((i, i + 1) for i in range(298))
+
+    @pytest.mark.parametrize("extender", ["blackbox", "separator"])
+    def test_each_triangulation_saturates_its_family(self, extender):
+        rng = random.Random(41)
+        graphs = [ladder_graph(4), cycle_graph(7)]
+        graphs += [random_connected_graph(rng.randint(6, 11), 0.3, rng) for _ in range(8)]
+        for g in graphs:
+            for t in itertools.islice(enum_min_triangulations(g, extender), 60):
+                assert t.chordal_graph == saturate_family(g, t.family)
+
+    @pytest.mark.parametrize("extender", ["blackbox", "separator"])
+    def test_an_extender_rewrapped_as_the_tracer_does_keeps_the_answers(
+        self, extender, monkeypatch
+    ):
+        # bench/tracing.py wraps the extender of a fresh instance with
+        # dataclasses.replace; the payload FIFO rides along
+        graphs = [ladder_graph(5), random_connected_graph(12, 0.3, random.Random(3))]
+        plain = [_answers(g, extender) for g in graphs]
+        make_instance = triangulate.separator_graph_instance
+
+        def separator_graph_instance(g, extender="blackbox"):
+            inst = make_instance(g, extender)
+            extend = inst.extend_to_max_ind
+            return dataclasses.replace(inst, extend_to_max_ind=lambda fam: extend(fam))
+
+        monkeypatch.setattr(triangulate, "separator_graph_instance", separator_graph_instance)
+        assert [_answers(g, extender) for g in graphs] == plain

@@ -51,6 +51,7 @@ from trienum.triangulate import (
 )
 
 from conftest import (
+    FALLBACK_EDGES,
     all_connected_graphs,
     all_graphs,
     complete_graph,
@@ -71,14 +72,6 @@ from oracle import (
 )
 
 EXTENDERS = (extend_family_blackbox, extend_family_separator)
-
-# min-fill adds (3, 7), (4, 9), (6, 13) and (8, 9) to this graph, and the
-# sandwich step drops a fill edge that joins two later neighbors of a
-# vertex, so the elimination order is no longer perfect
-FALLBACK_EDGES = [
-    (0, 4), (0, 6), (0, 13), (1, 3), (1, 7), (2, 4), (2, 6), (2, 9), (3, 4), (3, 12),
-    (4, 6), (4, 7), (4, 8), (4, 13), (5, 10), (5, 11), (6, 9), (7, 13), (8, 10), (9, 10),
-]
 
 
 def _family(*seps):
@@ -948,8 +941,8 @@ class TestEnumMinTriangulations:
 
     @pytest.mark.parametrize("extender", ["blackbox", "separator"])
     def test_calls_the_names_the_tracer_rebinds(self, extender, monkeypatch):
-        # the assembly saturates the family's masks itself, so only
-        # saturate_family is left out
+        # each answer's triangulation comes from its extender run, so
+        # only saturate_family is left out
         def run():
             tris = enum_min_triangulations(cycle_graph(5), extender=extender)
             assert sum(1 for _ in tris) == 5
