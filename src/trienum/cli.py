@@ -34,13 +34,16 @@ from .io import FORMATS, ParseError, parse_graph
 from .maxind import EnumStats
 from .separators import crosses, enum_min_seps
 from .treedecomp import enum_proper_tds
-from .triangulate import EXTENDERS, enum_min_triangulations
+from .triangulate import EXTENDERS, _fill_pairs, enum_min_triangulations
 
 DEFAULT_CROSSGRAPH_LIMIT = 500
 CROSSGRAPH_LIMIT_ENV = "TRIENUM_CROSSGRAPH_LIMIT"
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as the shell reports Ctrl-C
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as for a writer killed by SIGPIPE
 Ids = tuple[int, ...]  # a component's vertex ids in the input graph
+# the records are built fresh from dicts, lists, strings and numbers, so
+# they hold no cycle to check for; the output is that of ``json.dumps``
+_encode = json.JSONEncoder(check_circular=False).encode
 
 
 class GuardViolation(RuntimeError):
@@ -53,13 +56,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+# the renderers take rows as the answer generators build them: sorted
 def _fmt_pairs(edges: Iterable[Iterable[int]]) -> str:
-    text = ",".join(f"{u}-{v}" for u, v in sorted(edges))
+    text = ",".join(f"{u}-{v}" for u, v in edges)
     return text if text else "-"
 
 
 def _fmt_set(vs: Iterable[int]) -> str:
-    return " ".join(str(v) for v in sorted(vs))
+    return " ".join(str(v) for v in vs)
 
 
 def _dot(name: str, node: str, labels: list[list[int]], edges: list[list[int]]) -> str:
@@ -80,19 +84,22 @@ def _percentile(ordered: list[float], q: float) -> float:
 
 # The answer generators look up the enumerators in this module's namespace
 # when they run, so a caller that rebinds ``cli.enum_min_seps`` and the
-# like (as the benchmark's tracer does) sees every call.
+# like (as the benchmark's tracer does) sees every call. Every row they
+# build is sorted: ``orig`` ascends, so mapping an ascending row through
+# it keeps the row ascending.
 
 
 def _minseps(sub: Graph, orig: Ids, args: argparse.Namespace) -> Iterator[Any]:
     for sep in enum_min_seps(sub):
-        yield sorted(orig[v] for v in sep)
+        yield [orig[v] for v in sorted(sep)]
 
 
 def _triangulations(sub: Graph, orig: Ids, args: argparse.Namespace) -> Iterator[Any]:
     for tri in enum_min_triangulations(sub, extender=args.extender):
-        # fill pairs have u < w and orig ascends, so each pair stays ordered
-        fill = sorted([orig[u], orig[w]] for u, w in tri.fill_edges)
-        yield {"fill": fill, "edge_count": tri.chordal_graph.edge_count}
+        h = tri.chordal_graph
+        # read off the masks: the pairs ascend, so the rows do too
+        fill = [[orig[u], orig[w]] for u, w in _fill_pairs(sub._adj, h._adj)]
+        yield {"fill": fill, "edge_count": h.edge_count}
 
 
 def _triangulation_plain(tri: dict) -> str:
@@ -104,7 +111,7 @@ def _treedecomps(sub: Graph, orig: Ids, args: argparse.Namespace) -> Iterator[An
     rows: dict[frozenset[int], list[int]] = {}
     for d in enum_proper_tds(sub, extender=args.extender):
         bags = [
-            rows.get(b) or rows.setdefault(b, sorted(orig[v] for v in b))
+            rows.get(b) or rows.setdefault(b, [orig[v] for v in sorted(b)])
             for b in d.bags
         ]
         yield {"bags": bags, "tree": [[a, b] for a, b in d.edges]}
@@ -136,7 +143,7 @@ def _crossgraph(sub: Graph, orig: Ids, args: argparse.Namespace) -> Iterator[Any
         for j in range(i + 1, len(nodes))
         if crosses(sub, nodes[i], nodes[j])
     ]
-    yield {"nodes": [sorted(orig[v] for v in s) for s in nodes], "edges": edges}
+    yield {"nodes": [[orig[v] for v in sorted(s)] for s in nodes], "edges": edges}
 
 
 def _crossgraph_plain(cg: dict) -> str:
@@ -302,7 +309,7 @@ def _run(args: argparse.Namespace, pieces: list[tuple[Graph, Ids, int | None]]) 
                 if cid is not None:
                     record["component"] = cid
                 record["answer"] = answer
-                _write(json.dumps(record))
+                _write(_encode(record))
             elif args.output == "dot":
                 _write(command.dot(answer, cid, k))
             else:
@@ -384,7 +391,7 @@ def _main(argv: list[str] | None) -> int:
 
     if args.output == "jsonl":
         header = {"kind": "graph", "n": g.n, "edge_count": g.edge_count}
-        _write(json.dumps({**header, "labels": labels}))
+        _write(_encode({**header, "labels": labels}))
     try:
         _run(args, pieces)
     except GuardViolation as exc:

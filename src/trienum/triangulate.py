@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, TypeAlias
 
@@ -52,17 +53,35 @@ Payload: TypeAlias = "tuple[int, list[int] | None]"
 
 @dataclass(frozen=True)
 class Triangulation:
-    """A chordal supergraph of ``base`` described by its fill edges.
+    """A chordal supergraph ``chordal_graph`` of ``base``.
 
-    ``fill_edges`` holds each added edge once, as (u, w) with u < w.
     ``family`` is the maximal set of pairwise-parallel minimal
-    separators whose saturation produced the triangulation.
+    separators whose saturation produced the triangulation. Equality
+    and hashing use these three fields.
     """
 
     base: Graph
-    fill_edges: frozenset[tuple[int, int]]
     chordal_graph: Graph
     family: ParallelFamily
+
+    @cached_property
+    def fill_edges(self) -> frozenset[tuple[int, int]]:
+        """The edges of ``chordal_graph`` missing from ``base``, each once
+        as (u, w) with u < w; computed on first read."""
+        return frozenset(_fill_pairs(self.base._adj, self.chordal_graph._adj))
+
+
+def _fill_pairs(
+    base_adj: Iterable[int], h_adj: Iterable[int]
+) -> Iterator[tuple[int, int]]:
+    """The edges of H missing from G, given their adjacency masks, as
+    (u, w) with u < w, in ascending order."""
+    for u, (b, h) in enumerate(zip(base_adj, h_adj)):
+        m = (h & ~b) >> (u + 1)
+        while m:
+            low = m & -m
+            m ^= low
+            yield u, u + low.bit_length()
 
 
 def _check_family(g: Graph, phi: Iterable[Iterable[int]]) -> list[int]:
@@ -254,7 +273,7 @@ def min_tri_sandwich(g: Graph, g_t: Graph) -> Graph:
     if not is_chordal(g_t):
         raise GraphError("g_t is not chordal")
     adj = list(g_t._adj)
-    _sandwich_masks(adj, sorted(set(g_t.edges()) - set(g.edges())))
+    _sandwich_masks(adj, list(_fill_pairs(g._adj, g_t._adj)))
     return Graph._from_masks(adj)
 
 
@@ -553,14 +572,9 @@ def enum_min_triangulations(
 
     Each maximal set of pairwise-parallel minimal separators produced by
     the independent-set engine comes with its triangulation, the one
-    that the extender run which found it ended with. A chordal input
-    yields exactly itself, with an empty fill.
+    that the extender run which found it ended with, as masks; its fill
+    is read off them only when ``fill_edges`` is first read. A chordal
+    input yields exactly itself, with an empty fill.
     """
     for family, adj, _order in _found_triangulations(g, extender, stats, hook):
-        fill = frozenset(
-            (u, w)
-            for u in range(g.n)
-            for w in bits((adj[u] & ~g._adj[u]) >> (u + 1) << (u + 1))
-        )
-        h = Graph._from_masks(adj)
-        yield Triangulation(base=g, fill_edges=fill, chordal_graph=h, family=family)
+        yield Triangulation(base=g, chordal_graph=Graph._from_masks(adj), family=family)

@@ -12,7 +12,18 @@ from pathlib import Path
 
 import pytest
 
-from trienum import TreeDecomposition, cli, is_proper, is_tree_decomposition, parse_graph
+from trienum import (
+    TreeDecomposition,
+    cli,
+    connected_components,
+    enum_min_seps,
+    enum_min_triangulations,
+    enum_proper_tds,
+    induced_subgraph,
+    is_proper,
+    is_tree_decomposition,
+    parse_graph,
+)
 from trienum.cli import main
 
 from conftest import random_connected_graph
@@ -246,6 +257,113 @@ class TestOutputsAndModes:
             tuple(map(tuple, r["answer"]["fill"])) for r in answers(out, "triangulation")
         }
         assert fills(bb) == fills(sep)
+
+
+def ascending(row):
+    return all(a < b for a, b in zip(row, row[1:]))
+
+
+def sorted_rows(rows):
+    """Each row ascends, and the rows are in ascending order."""
+    return all(map(ascending, rows)) and rows == sorted(rows)
+
+
+# A C6 on the even ids and a C6 with a chord on the odd ids, each cycle
+# listed out of order, so that the components' ids interleave
+INTERLEAVED = [(0, 4), (4, 8), (8, 2), (2, 10), (10, 6), (6, 0)]
+INTERLEAVED += [(1, 7), (7, 3), (3, 11), (11, 5), (5, 9), (9, 1), (3, 9)]
+
+
+class TestRowsFromMasks:
+    """The writers map each answer's rows through the component's id map
+    and do not sort them again, and the plain and dot renderers print
+    rows as they get them; these tests pin the order they rely on."""
+
+    @pytest.mark.parametrize("extender", ["blackbox", "separator"])
+    def test_every_row_and_edge_list_is_sorted(self, extender, tmp_path, capsys):
+        rng = random.Random(23)
+        longest = 0  # the most rows of any fill, so the test sees some order
+        for trial in range(6):
+            g = random_connected_graph(rng.randint(6, 10), rng.choice([0.25, 0.4]), rng)
+            path = tmp_path / f"g{trial}.json"
+            path.write_text(json.dumps({"n": g.n, "edges": [list(e) for e in g.edges()]}))
+            argv = [str(path), "--format", "json", "--extender", extender, "--limit", "60"]
+            _, out, _ = run_cli(capsys, ["minseps", *argv])
+            assert all(ascending(r["answer"]) for r in answers(out, "minsep"))
+            _, out, _ = run_cli(capsys, ["triangulations", *argv])
+            tris = answers(out, "triangulation")
+            longest = max([longest] + [len(r["answer"]["fill"]) for r in tris])
+            assert all(sorted_rows(r["answer"]["fill"]) for r in tris)
+            _, out, _ = run_cli(capsys, ["treedecomps", *argv])
+            for r in answers(out, "treedecomp"):
+                assert all(map(ascending, r["answer"]["bags"]))
+                assert sorted_rows(r["answer"]["tree"])
+            _, out, _ = run_cli(capsys, ["crossgraph", *argv])
+            (r,) = answers(out, "crossgraph")
+            assert all(map(ascending, r["answer"]["nodes"]))
+            assert sorted_rows(r["answer"]["edges"])
+        assert longest > 1
+
+    @pytest.mark.parametrize("extender", ["blackbox", "separator"])
+    @pytest.mark.parametrize("command", ["minseps", "triangulations", "treedecomps"])
+    def test_interleaved_components_match_the_library(
+        self, command, extender, capsys, monkeypatch
+    ):
+        text = "p edge 12 13\n" + "".join(f"e {u + 1} {v + 1}\n" for u, v in INTERLEAVED)
+        monkeypatch.setattr("sys.stdin", stdin_of(text))
+        code, out, _ = run_cli(
+            capsys, [command, "--format", "dimacs", "--per-component", "--extender", extender]
+        )
+        assert code == 0
+        g, _labels = parse_graph(text, "dimacs")
+        pieces = [induced_subgraph(g, comp) for comp in connected_components(g)]
+        assert [orig for _sub, orig in pieces] == [(0, 2, 4, 6, 8, 10), (1, 3, 5, 7, 9, 11)]
+        expected = []
+        for cid, (sub, orig) in enumerate(pieces):
+            if command == "minseps":
+                got = [sorted(orig[v] for v in s) for s in enum_min_seps(sub)]
+            elif command == "triangulations":
+                got = [
+                    {
+                        "fill": sorted([orig[u], orig[w]] for u, w in t.fill_edges),
+                        "edge_count": t.chordal_graph.edge_count,
+                    }
+                    for t in enum_min_triangulations(sub, extender)
+                ]
+            else:
+                got = [
+                    {
+                        "bags": [sorted(orig[v] for v in b) for b in d.bags],
+                        "tree": [list(e) for e in d.edges],
+                    }
+                    for d in enum_proper_tds(sub, extender)
+                ]
+            expected += [(cid, answer) for answer in got]
+        kind = cli.COMMANDS[command].kind
+        assert [(r["component"], r["answer"]) for r in answers(out, kind)] == expected
+
+
+class TestEncoder:
+    """Every line the CLI writes is what ``json.dumps`` writes for it."""
+
+    def test_non_ascii_labels(self, capsys, monkeypatch):
+        text = "é 名\n名 c\nc d\nd é\nd x\n"
+        for command in cli.COMMANDS:
+            monkeypatch.setattr("sys.stdin", stdin_of(text))
+            code, out, _ = run_cli(capsys, [command])
+            assert code == 0
+            lines = out.splitlines()
+            assert "\\u00e9" in lines[0] and "\\u540d" in lines[0]
+            assert lines == [json.dumps(json.loads(line)) for line in lines]
+
+    def test_delay_stats_floats(self, tmp_path, capsys):
+        path = write_cycle(tmp_path, 8)
+        code, out, _ = run_cli(capsys, ["stats", path, "--format", "dimacs", "--delay-stats"])
+        assert code == 0
+        lines = out.splitlines()
+        (rec,) = answers(out, "stats")
+        assert all(isinstance(x, float) for x in rec["answer"]["delay_ms"].values())
+        assert lines == [json.dumps(json.loads(line)) for line in lines]
 
 
 class TestGuardsAndErrors:

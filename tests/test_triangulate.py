@@ -33,7 +33,7 @@ from trienum import (
     separator_graph_instance,
     triangulate_heuristic,
 )
-from trienum import triangulate
+from trienum import cli, triangulate
 from trienum.graph import (
     _chordal_read_off,
     _peel,
@@ -934,6 +934,34 @@ class TestEnumMinTriangulations:
                 h = tri.chordal_graph
                 assert isinstance(tri.fill_edges, frozenset)
                 assert tri.fill_edges == set(h.edges()) - set(g.edges())
+
+    @pytest.mark.parametrize("extender", ["blackbox", "separator"])
+    def test_fill_is_read_on_demand(self, extender, tmp_path, capsys, monkeypatch):
+        g = cycle_graph(8)
+        tris = list(enum_min_triangulations(g, extender))
+        assert len(tris) == 132  # Catalan(6)
+        assert not any("fill_edges" in t.__dict__ for t in tris)
+        for t in tris:
+            assert t.fill_edges == set(t.chordal_graph.edges()) - set(g.edges())
+            assert "fill_edges" in t.__dict__
+        again = list(enum_min_triangulations(g, extender))
+        assert again == tris
+        assert [hash(t) for t in again] == [hash(t) for t in tris]
+        calls = []
+        fill_pairs = triangulate._fill_pairs
+
+        def counted(*args):
+            calls.append(args)
+            return fill_pairs(*args)
+
+        for module in (triangulate, cli):
+            monkeypatch.setattr(module, "_fill_pairs", counted)
+        path = tmp_path / "c8.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in g.edges()))
+        for command, runs in (("stats", 0), ("triangulations", 132)):
+            calls.clear()
+            assert cli.main([command, str(path), "--extender", extender]) == 0
+            assert len(calls) == runs
 
     def test_empty_graph_raises_before_any_answer(self):
         with pytest.raises(GraphError, match="at least one vertex"):
