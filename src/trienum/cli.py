@@ -1,13 +1,16 @@
 """Command-line front end: parse a graph, stream enumeration answers.
 
 Every command is one entry of the ``COMMANDS`` table: its help text, the
-``kind`` of its JSONL records, a generator of JSON-ready answers for one
-connected component (in input ids), a plain renderer and, for the
-commands that have one, a dot renderer. The subcommands and the check
+``kind`` of its JSONL records, a generator of the text of each answer
+for one connected component (in input ids, in the selected output
+style), and whether it has a dot output. The subcommands and the check
 that ``--output dot`` is available come from the table, and one loop,
-``_run``, writes the answers of every command: it numbers the JSONL
-records across components, tags them with their component, and stops
-at ``--limit`` right after an answer is written.
+``_run``, writes the answers of every command: it wraps each JSONL
+answer in its record, numbers the records across components, tags them
+with their component, and stops at ``--limit`` right after an answer is
+written. The ``minseps``, ``triangulations`` and ``treedecomps`` answers
+are joined from text fragments made once per component; ``json`` writes
+only the header and the ``stats`` and ``crossgraph`` answers.
 
 Answers are written one per line and flushed immediately, so piping
 into ``head`` or using ``--limit`` stops the enumeration early instead
@@ -29,10 +32,10 @@ import os
 import sys
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, NoReturn
 
-from .graph import Graph, GraphError, connected_components, induced_subgraph
+from .graph import Graph, GraphError, connected_components, induced_subgraph, mask_of
 from .io import FORMATS, ParseError, parse_graph
 from .maxind import EnumStats
-from .separators import crosses, enum_min_seps
+from .separators import _meets_two, _sides, enum_min_seps
 from .treedecomp import enum_proper_tds
 from .triangulate import EXTENDERS, _fill_pairs, enum_min_triangulations
 
@@ -41,8 +44,9 @@ CROSSGRAPH_LIMIT_ENV = "TRIENUM_CROSSGRAPH_LIMIT"
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as the shell reports Ctrl-C
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as for a writer killed by SIGPIPE
 Ids = tuple[int, ...]  # a component's vertex ids in the input graph
-# the records are built fresh from dicts, lists, strings and numbers, so
-# they hold no cycle to check for; the output is that of ``json.dumps``
+# the header, stats and crossgraph records are built fresh from dicts,
+# lists, strings and numbers, so they hold no cycle to check for; the
+# output is that of ``json.dumps``
 _encode = json.JSONEncoder(check_circular=False).encode
 
 
@@ -56,19 +60,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-# the renderers take rows as the answer generators build them: sorted
-def _fmt_pairs(edges: Iterable[Iterable[int]]) -> str:
-    text = ",".join(f"{u}-{v}" for u, v in edges)
-    return text if text else "-"
-
-
-def _fmt_set(vs: Iterable[int]) -> str:
-    return " ".join(str(v) for v in vs)
-
-
-def _dot(name: str, node: str, labels: list[list[int]], edges: list[list[int]]) -> str:
+def _dot(name: str, node: str, labels: Iterable[str], edges: Iterable[Iterable[int]]) -> str:
     lines = [f"graph {name} {{"]
-    lines += [f'  {node}{i} [label="{_fmt_set(s)}"];' for i, s in enumerate(labels)]
+    lines += [f'  {node}{i} [label="{text}"];' for i, text in enumerate(labels)]
     lines += [f"  {node}{a} -- {node}{b};" for a, b in edges]
     lines.append("}")
     return "\n".join(lines)
@@ -82,52 +76,82 @@ def _percentile(ordered: list[float], q: float) -> float:
     return ordered[pos]
 
 
-# The answer generators look up the enumerators in this module's namespace
-# when they run, so a caller that rebinds ``cli.enum_min_seps`` and the
-# like (as the benchmark's tracer does) sees every call. Every row they
-# build is sorted: ``orig`` ascends, so mapping an ascending row through
-# it keeps the row ascending.
+class _Texts(dict):
+    """A fragment table: the text of each key, made by ``fmt`` on its
+    first lookup and then kept. A table lives for one component's run,
+    so it holds one text per distinct fragment of that run (a fill pair
+    is a non-edge, a bag one of its distinct bags), however many answers
+    repeat it."""
+
+    def __init__(self, fmt: Callable[[Any], str]) -> None:
+        super().__init__()
+        self.fmt = fmt
+
+    def __missing__(self, key: Any) -> str:
+        text = self[key] = self.fmt(key)
+        return text
 
 
-def _minseps(sub: Graph, orig: Ids, args: argparse.Namespace) -> Iterator[Any]:
-    for sep in enum_min_seps(sub):
-        yield [orig[v] for v in sorted(sep)]
+def _set_text(orig: Ids, output: str) -> Callable[[Iterable[int]], str]:
+    """The text of a vertex set, in input ids, joined from its members'
+    texts: ``[a, b]`` in JSONL, ``a b`` in plain and dot. ``orig``
+    ascends, so the sorted members stay sorted in input ids."""
+    vertex = list(map(str, orig)).__getitem__
+    if output == "jsonl":
+        return lambda vs: "[" + ", ".join(map(vertex, sorted(vs))) + "]"
+    return lambda vs: " ".join(map(vertex, sorted(vs)))
 
 
-def _triangulations(sub: Graph, orig: Ids, args: argparse.Namespace) -> Iterator[Any]:
+# Each answer generator yields the text of each answer of one component,
+# in the output style of ``args.output``: the JSON value of the record's
+# "answer" for jsonl, else the line(s) to write. They look up the
+# enumerators in this module's namespace when they run, so a caller that
+# rebinds ``cli.enum_min_seps`` and the like (as the benchmark's tracer
+# does) sees every call. The texts of the vertices, fill pairs, bags and
+# tree edges are made once per component, and each answer joins them.
+
+
+def _minseps(sub: Graph, orig: Ids, cid: int | None, args: argparse.Namespace) -> Iterator[str]:
+    return map(_set_text(orig, args.output), enum_min_seps(sub))
+
+
+def _triangulations(
+    sub: Graph, orig: Ids, cid: int | None, args: argparse.Namespace
+) -> Iterator[str]:
+    jsonl = args.output == "jsonl"
+    vertex = list(map(str, orig))
+    pair = "[{}, {}]" if jsonl else "{}-{}"
+    pairs = _Texts(lambda p: pair.format(vertex[p[0]], vertex[p[1]]))
     for tri in enum_min_triangulations(sub, extender=args.extender):
         h = tri.chordal_graph
-        # read off the masks: the pairs ascend, so the rows do too
-        fill = [[orig[u], orig[w]] for u, w in _fill_pairs(sub._adj, h._adj)]
-        yield {"fill": fill, "edge_count": h.edge_count}
+        # read off the masks: the pairs ascend, so the texts do too
+        fill = map(pairs.__getitem__, _fill_pairs(sub._adj, h._adj))
+        if jsonl:
+            yield f'{{"fill": [{", ".join(fill)}], "edge_count": {h.edge_count}}}'
+        else:
+            yield f"fill={','.join(fill) or '-'} m={h.edge_count}"
 
 
-def _triangulation_plain(tri: dict) -> str:
-    return f"fill={_fmt_pairs(tri['fill'])} m={tri['edge_count']}"
+def _treedecomps(
+    sub: Graph, orig: Ids, cid: int | None, args: argparse.Namespace
+) -> Iterator[str]:
+    # each distinct bag is one frozenset for the whole run
+    bags = _Texts(_set_text(orig, args.output))
+    edge = "[{}, {}]" if args.output == "jsonl" else "{}-{}"
+    edges = _Texts(lambda e: edge.format(*e))
+    for k, d in enumerate(enum_proper_tds(sub, extender=args.extender)):
+        rows = map(bags.__getitem__, d.bags)
+        if args.output == "dot":
+            yield _dot(f"td{k}" if cid is None else f"td_c{cid}_{k}", "b", rows, d.edges)
+            continue
+        tree = map(edges.__getitem__, d.edges)
+        if args.output == "jsonl":
+            yield f'{{"bags": [{", ".join(rows)}], "tree": [{", ".join(tree)}]}}'
+        else:
+            yield f"bags={'|'.join(rows)} tree={','.join(tree) or '-'}"
 
 
-def _treedecomps(sub: Graph, orig: Ids, args: argparse.Namespace) -> Iterator[Any]:
-    # each distinct bag's row, in input ids, is built once per component
-    rows: dict[frozenset[int], list[int]] = {}
-    for d in enum_proper_tds(sub, extender=args.extender):
-        bags = [
-            rows.get(b) or rows.setdefault(b, [orig[v] for v in sorted(b)])
-            for b in d.bags
-        ]
-        yield {"bags": bags, "tree": [[a, b] for a, b in d.edges]}
-
-
-def _treedecomp_plain(td: dict) -> str:
-    bags = "|".join(_fmt_set(b) for b in td["bags"])
-    return f"bags={bags} tree={_fmt_pairs(td['tree'])}"
-
-
-def _treedecomp_dot(td: dict, cid: int | None, k: int) -> str:
-    name = f"td{k}" if cid is None else f"td_c{cid}_{k}"
-    return _dot(name, "b", td["bags"], td["tree"])
-
-
-def _crossgraph(sub: Graph, orig: Ids, args: argparse.Namespace) -> Iterator[Any]:
+def _crossgraph(sub: Graph, orig: Ids, cid: int | None, args: argparse.Namespace) -> Iterator[str]:
     cap = args.max_crossgraph_nodes
     nodes = []
     for sep in enum_min_seps(sub):
@@ -137,29 +161,32 @@ def _crossgraph(sub: Graph, orig: Ids, args: argparse.Namespace) -> Iterator[Any
                 f"crossing graph exceeds {cap} nodes; raise the cap with "
                 f"--max-crossgraph-nodes or {CROSSGRAPH_LIMIT_ENV}"
             )
+    # the nodes are minimal separators by construction, so each pair is
+    # tested against the first one's sides, swept once per node
+    masks = list(map(mask_of, nodes))
+    sides = [_sides(sub._adj, sub.n, s) for s in masks]
     edges = [
         [i, j]
         for i in range(len(nodes))
         for j in range(i + 1, len(nodes))
-        if crosses(sub, nodes[i], nodes[j])
+        if _meets_two(sides[i], masks[j])
     ]
-    yield {"nodes": [[orig[v] for v in sorted(s)] for s in nodes], "edges": edges}
+    if args.output == "jsonl":
+        rows = [[orig[v] for v in sorted(s)] for s in nodes]
+        yield _encode({"nodes": rows, "edges": edges})
+        return
+    labels = map(_set_text(orig, args.output), nodes)
+    if args.output == "dot":
+        yield _dot("crossgraph" if cid is None else f"crossgraph_c{cid}", "s", labels, edges)
+    else:
+        # only the first line carries the component prefix
+        lines = [f"nodes={len(nodes)} edges={len(edges)}"]
+        lines += [f"node {i}: {text}" for i, text in enumerate(labels)]
+        lines += [f"edge {a} {b}" for a, b in edges]
+        yield "\n".join(lines)
 
 
-def _crossgraph_plain(cg: dict) -> str:
-    # only the first line carries the component prefix
-    lines = [f"nodes={len(cg['nodes'])} edges={len(cg['edges'])}"]
-    lines += [f"node {i}: {_fmt_set(s)}" for i, s in enumerate(cg["nodes"])]
-    lines += [f"edge {a} {b}" for a, b in cg["edges"]]
-    return "\n".join(lines)
-
-
-def _crossgraph_dot(cg: dict, cid: int | None, k: int) -> str:
-    name = "crossgraph" if cid is None else f"crossgraph_c{cid}"
-    return _dot(name, "s", cg["nodes"], cg["edges"])
-
-
-def _stats(sub: Graph, orig: Ids, args: argparse.Namespace) -> Iterator[Any]:
+def _stats(sub: Graph, orig: Ids, cid: int | None, args: argparse.Namespace) -> Iterator[str]:
     stats = EnumStats()
     tris = enum_min_triangulations(sub, extender=args.extender, stats=stats)
     count = sum(1 for _ in tris)
@@ -170,6 +197,10 @@ def _stats(sub: Graph, orig: Ids, args: argparse.Namespace) -> Iterator[Any]:
         "minimal_separators": stats.nodes_pulled,
         "extender_calls": stats.extender_calls,
     }
+    if args.output != "jsonl":
+        # delay_ms is shown in jsonl only
+        yield " ".join(f"{k}={v}" for k, v in answer.items())
+        return
     if args.delay_stats:
         ms = [d * 1000.0 for d in stats.delays]
         ordered = sorted(ms)
@@ -180,49 +211,29 @@ def _stats(sub: Graph, orig: Ids, args: argparse.Namespace) -> Iterator[Any]:
             "p99": _percentile(ordered, 0.99),
             "max": ordered[-1] if ordered else 0.0,
         }
-    yield answer
-
-
-def _stats_plain(answer: dict) -> str:
-    # delay_ms is shown in jsonl only
-    return " ".join(f"{k}={v}" for k, v in answer.items() if k != "delay_ms")
+    yield _encode(answer)
 
 
 class Command(NamedTuple):
     help: str
     kind: str  # the "kind" of the command's JSONL records
-    answers: Callable[[Graph, Ids, argparse.Namespace], Iterator[Any]]
-    plain: Callable[[Any], str]
-    dot: Callable[[Any, int | None, int], str] | None = None
+    answers: Callable[[Graph, Ids, int | None, argparse.Namespace], Iterator[str]]
+    dot: bool = False  # whether it has a dot output
 
 
 COMMANDS = {
-    "minseps": Command("stream all minimal separators", "minsep", _minseps, _fmt_set),
+    "minseps": Command("stream all minimal separators", "minsep", _minseps),
     "triangulations": Command(
-        "stream all minimal triangulations",
-        "triangulation",
-        _triangulations,
-        _triangulation_plain,
+        "stream all minimal triangulations", "triangulation", _triangulations
     ),
     "treedecomps": Command(
-        "stream all proper tree decompositions",
-        "treedecomp",
-        _treedecomps,
-        _treedecomp_plain,
-        _treedecomp_dot,
+        "stream all proper tree decompositions", "treedecomp", _treedecomps, dot=True
     ),
     "crossgraph": Command(
-        "materialize the separator crossing graph",
-        "crossgraph",
-        _crossgraph,
-        _crossgraph_plain,
-        _crossgraph_dot,
+        "materialize the separator crossing graph", "crossgraph", _crossgraph, dot=True
     ),
     "stats": Command(
-        "run the triangulation enumeration and report counters",
-        "stats",
-        _stats,
-        _stats_plain,
+        "run the triangulation enumeration and report counters", "stats", _stats
     ),
 }
 
@@ -301,19 +312,17 @@ def _run(args: argparse.Namespace, pieces: list[tuple[Graph, Ids, int | None]]) 
     selected output style. A piece's component id is None when the graph
     is run whole; only tagged pieces get a component tag or prefix."""
     command = COMMANDS[args.command]
+    jsonl = args.output == "jsonl"
+    # a record's keys in the order json.dumps writes them
+    head = f'{{"kind": {_encode(command.kind)}, "index": '
     index = 0
     for sub, orig, cid in pieces:
-        for k, answer in enumerate(command.answers(sub, orig, args)):
-            if args.output == "jsonl":
-                record: dict[str, object] = {"kind": command.kind, "index": index}
-                if cid is not None:
-                    record["component"] = cid
-                record["answer"] = answer
-                _write(_encode(record))
-            elif args.output == "dot":
-                _write(command.dot(answer, cid, k))
-            else:
-                _write(("" if cid is None else f"c{cid} ") + command.plain(answer))
+        if jsonl:
+            tag = ', "answer": ' if cid is None else f', "component": {cid}, "answer": '
+        else:
+            tag = "" if cid is None or args.output == "dot" else f"c{cid} "
+        for text in command.answers(sub, orig, cid, args):
+            _write(f"{head}{index}{tag}{text}}}" if jsonl else tag + text)
             index += 1
             if index == args.limit:
                 return
@@ -348,7 +357,7 @@ def main(argv: list[str] | None = None) -> int:
 def _main(argv: list[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.output == "dot" and COMMANDS[args.command].dot is None:
+    if args.output == "dot" and not COMMANDS[args.command].dot:
         with_dot = [name for name, command in COMMANDS.items() if command.dot]
         parser.error(f"dot output is only available for {' and '.join(with_dot)}")
     if args.limit is not None and args.limit < 1:

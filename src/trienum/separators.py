@@ -67,6 +67,24 @@ def is_minimal_separator(g: Graph, S: Iterable[int]) -> bool:
     return False
 
 
+def _sides(adj: list[int], n: int, smask: int) -> list[int]:
+    """The component masks of g minus S: a separator T crosses S exactly
+    when it meets two of them (`_meets_two`)."""
+    return [comp for comp, _nb in _components_masks(adj, (1 << n) - 1 & ~smask)]
+
+
+def _meets_two(sides: list[int], tmask: int) -> bool:
+    """True iff T meets two of the sides of S; its members in S lie in
+    no side, so they cannot witness a crossing."""
+    hit = False
+    for comp in sides:
+        if comp & tmask:
+            if hit:
+                return True
+            hit = True
+    return False
+
+
 def crosses(g: Graph, S: Iterable[int], T: Iterable[int]) -> bool:
     """True iff S separates two vertices of T.
 
@@ -80,17 +98,7 @@ def crosses(g: Graph, S: Iterable[int], T: Iterable[int]) -> bool:
         g, bits(tmask)
     ):
         raise GraphError("crosses requires minimal separators")
-    rest = tmask & ~smask
-    if not rest:
-        return False
-    sub = (1 << g.n) - 1 & ~smask
-    hits = 0
-    for comp, _nb in _components_masks(g._adj, sub):
-        if comp & rest:
-            hits += 1
-            if hits == 2:
-                return True
-    return False
+    return _meets_two(_sides(g._adj, g.n, smask), tmask)
 
 
 def enum_min_seps(g: Graph) -> Iterator[Separator]:

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -16,6 +17,7 @@ from trienum import (
     TreeDecomposition,
     cli,
     connected_components,
+    crosses,
     enum_min_seps,
     enum_min_triangulations,
     enum_proper_tds,
@@ -26,7 +28,7 @@ from trienum import (
 )
 from trienum.cli import main
 
-from conftest import random_connected_graph
+from conftest import cycle_graph, ladder_graph, random_connected_graph
 
 
 def run_cli(capsys, argv):
@@ -276,8 +278,9 @@ INTERLEAVED += [(1, 7), (7, 3), (3, 11), (11, 5), (5, 9), (9, 1), (3, 9)]
 
 class TestRowsFromMasks:
     """The writers map each answer's rows through the component's id map
-    and do not sort them again, and the plain and dot renderers print
-    rows as they get them; these tests pin the order they rely on."""
+    and do not sort the fill pairs or tree edges again, and every output
+    style joins the fragments in the order it gets them; these tests pin
+    the order they rely on."""
 
     @pytest.mark.parametrize("extender", ["blackbox", "separator"])
     def test_every_row_and_edge_list_is_sorted(self, extender, tmp_path, capsys):
@@ -696,9 +699,11 @@ class TestGoldenOutput:
 
     def test_cli_calls_rebound_names(self, tmp_path, capsys, monkeypatch):
         # bench/tracing.py rebinds these names in the cli module to time
-        # each layer, so the CLI must look them up when it runs
+        # each layer, so the CLI must look them up when it runs; crossgraph
+        # tests its pairs on each node's sides, which
+        # TestCrossgraph::test_edges_are_the_public_crossing_relation checks
         called = []
-        for name in ("enum_min_seps", "enum_min_triangulations", "enum_proper_tds", "crosses"):
+        for name in ("enum_min_seps", "enum_min_triangulations", "enum_proper_tds"):
             def wrapper(*args, _name=name, _fn=getattr(cli, name), **kwargs):
                 called.append(_name)
                 return _fn(*args, **kwargs)
@@ -713,6 +718,224 @@ class TestGoldenOutput:
                 "minseps": {"enum_min_seps"},
                 "triangulations": {"enum_min_triangulations"},
                 "treedecomps": {"enum_proper_tds"},
-                "crossgraph": {"enum_min_seps", "crosses"},
+                "crossgraph": {"enum_min_seps"},
                 "stats": {"enum_min_triangulations"},
             }[command]
+
+
+def dimacs_args(tmp_path, g):
+    """The CLI arguments that read g from a DIMACS file."""
+    path = tmp_path / "g.col"
+    lines = [f"p edge {g.n} {g.edge_count}"] + [f"e {u + 1} {v + 1}" for u, v in g.edges()]
+    path.write_text("\n".join(lines) + "\n")
+    return [str(path), "--format", "dimacs"]
+
+
+def tree_edges_first(g):
+    """The edges of a connected g, breadth-first tree edges from vertex 0
+    first: the first brings in two vertices and each later tree edge
+    one more."""
+    adj = [set() for _ in range(g.n)]
+    for u, v in g.edges():
+        adj[u].add(v)
+        adj[v].add(u)
+    seen, queue, tree = {0}, [0], []
+    for u in queue:
+        for v in sorted(adj[u] - seen):
+            seen.add(v)
+            queue.append(v)
+            tree.append((u, v))
+    rest = [e for e in g.edges() if e not in tree and e[::-1] not in tree]
+    return tree, rest
+
+
+def interleaved_edgelist(rng):
+    """Two seeded random connected graphs as one edge list with labels
+    that are not ASCII. The graphs' tree edges come first, taken in
+    turn, so the input ids of the two components interleave."""
+    parts = []
+    for mark in ("é", "名"):
+        g = random_connected_graph(rng.randint(5, 8), rng.choice([0.3, 0.45]), rng)
+        tree, rest = tree_edges_first(g)
+        parts.append([[(f"{mark}{u}", f"{mark}{v}") for u, v in e] for e in (tree, rest)])
+    (tree_a, rest_a), (tree_b, rest_b) = parts
+    edges = [e for pair in itertools.zip_longest(tree_a, tree_b) for e in pair if e]
+    return "".join(f"{a} {b}\n" for a, b in edges + rest_a + rest_b)
+
+
+def connected_edgelist(rng):
+    g = random_connected_graph(rng.randint(5, 9), rng.choice([0.3, 0.45]), rng)
+    return "".join(f"ü{u} ü{v}\n" for u, v in g.edges())
+
+
+def reference_stdout(text, command, output, extender, per_component):
+    """What the writer that built each answer as row lists wrote: JSONL
+    records through ``json.dumps``, and its plain and dot renderers."""
+    g, labels = parse_graph(text, "edgelist")
+    if per_component:
+        pieces = [(*induced_subgraph(g, c), cid) for cid, c in enumerate(connected_components(g))]
+    else:
+        pieces = [(g, tuple(range(g.n)), None)]
+    fmt_set = lambda vs: " ".join(str(v) for v in vs)
+    fmt_pairs = lambda edges: ",".join(f"{u}-{v}" for u, v in edges) or "-"
+    lines = []
+    if output == "jsonl":
+        header = {"kind": "graph", "n": g.n, "edge_count": g.edge_count, "labels": labels}
+        lines.append(json.dumps(header))
+    index = 0
+    for sub, orig, cid in pieces:
+        if command == "minseps":
+            kind = "minsep"
+            got = [[orig[v] for v in sorted(s)] for s in enum_min_seps(sub)]
+            plain = fmt_set
+        elif command == "triangulations":
+            kind = "triangulation"
+            got = [
+                {
+                    "fill": [[orig[u], orig[w]] for u, w in sorted(t.fill_edges)],
+                    "edge_count": t.chordal_graph.edge_count,
+                }
+                for t in enum_min_triangulations(sub, extender)
+            ]
+            plain = lambda a: f"fill={fmt_pairs(a['fill'])} m={a['edge_count']}"
+        else:
+            kind = "treedecomp"
+            got = [
+                {
+                    "bags": [[orig[v] for v in sorted(b)] for b in d.bags],
+                    "tree": [[a, b] for a, b in d.edges],
+                }
+                for d in enum_proper_tds(sub, extender)
+            ]
+            plain = lambda a: (
+                f"bags={'|'.join(map(fmt_set, a['bags']))} tree={fmt_pairs(a['tree'])}"
+            )
+        for k, answer in enumerate(got):
+            if output == "jsonl":
+                record = {"kind": kind, "index": index}
+                if cid is not None:
+                    record["component"] = cid
+                record["answer"] = answer
+                lines.append(json.dumps(record))
+            elif output == "dot":
+                dot = [f"graph {f'td{k}' if cid is None else f'td_c{cid}_{k}'} {{"]
+                dot += [f'  b{i} [label="{fmt_set(s)}"];' for i, s in enumerate(answer["bags"])]
+                dot += [f"  b{a} -- b{b};" for a, b in answer["tree"]]
+                lines.append("\n".join(dot + ["}"]))
+            else:
+                lines.append(("" if cid is None else f"c{cid} ") + plain(answer))
+            index += 1
+    return "".join(line + "\n" for line in lines)
+
+
+class TestWriterReference:
+    """The answers joined from per-component text fragments are, byte
+    for byte, what the row-list writer wrote."""
+
+    @pytest.mark.parametrize("extender", ["blackbox", "separator"])
+    @pytest.mark.parametrize("per_component", [False, True])
+    @pytest.mark.parametrize("command", ["minseps", "triangulations", "treedecomps"])
+    def test_stdout_equals_the_reference(
+        self, command, per_component, extender, capsys, monkeypatch
+    ):
+        rng = random.Random(41)
+        outputs = ("jsonl", "plain", "dot") if command == "treedecomps" else ("jsonl", "plain")
+        for _ in range(3):
+            text = interleaved_edgelist(rng) if per_component else connected_edgelist(rng)
+            if per_component:
+                g, _labels = parse_graph(text, "edgelist")
+                first, second = connected_components(g)
+                assert min(second) < max(first)  # the components' ids interleave
+            for output in outputs:
+                argv = [command, "--output", output, "--extender", extender]
+                monkeypatch.setattr("sys.stdin", stdin_of(text))
+                code, out, err = run_cli(capsys, argv + ["--per-component"] * per_component)
+                assert (code, err) == (0, "")
+                assert out == reference_stdout(text, command, output, extender, per_component)
+
+
+def count_fragments(monkeypatch):
+    """The keys whose text a fragment table makes, in the order made."""
+    made = []
+    make = cli._Texts.__missing__
+
+    def counting(table, key):
+        made.append(key)
+        return make(table, key)
+
+    monkeypatch.setattr(cli._Texts, "__missing__", counting)
+    return made
+
+
+class TestFragmentsMadeOnce:
+    """Each fragment's text is made once per component run, not once per
+    answer that holds it."""
+
+    @pytest.mark.parametrize("output", ["jsonl", "plain"])
+    def test_one_text_per_distinct_fill_pair(self, output, tmp_path, capsys, monkeypatch):
+        g = cycle_graph(9)
+        tris = list(enum_min_triangulations(g))
+        distinct = set().union(*(t.fill_edges for t in tris))
+        assert (len(tris), len(distinct), sum(len(t.fill_edges) for t in tris)) == (429, 27, 2574)
+        made = count_fragments(monkeypatch)
+        argv = ["triangulations", *dimacs_args(tmp_path, g), "--output", output]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0 and out.count("fill") == 429
+        assert sorted(made) == sorted(distinct)
+
+    @pytest.mark.parametrize("output", ["jsonl", "plain", "dot"])
+    def test_one_text_per_distinct_bag(self, output, tmp_path, capsys, monkeypatch):
+        g = ladder_graph(8)
+        tds = list(enum_proper_tds(g))
+        distinct = set().union(*(d.bags for d in tds))
+        assert (len(tds), len(distinct)) == (128, 28)
+        made = count_fragments(monkeypatch)
+        argv = ["treedecomps", *dimacs_args(tmp_path, g), "--output", output]
+        code, _, _ = run_cli(capsys, argv)
+        assert code == 0
+        bags = [key for key in made if isinstance(key, frozenset)]
+        assert len(bags) == len(set(bags)) and set(bags) == distinct
+        # the tree edges too, each distinct one once; dot writes them as is
+        edges = [key for key in made if isinstance(key, tuple)]
+        distinct_edges = set().union(*(d.edges for d in tds))
+        assert len(edges) == len(set(edges)) == (0 if output == "dot" else len(distinct_edges))
+
+
+class TestCrossgraph:
+    """The crossing graph tests each pair against one node's sides, swept
+    once per node, and its edges are the public ``crosses`` relation."""
+
+    @staticmethod
+    def expected_edges(sub, nodes):
+        return [
+            [i, j]
+            for i in range(len(nodes))
+            for j in range(i + 1, len(nodes))
+            if crosses(sub, nodes[i], nodes[j])
+        ]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_edges_are_the_public_crossing_relation(self, seed, tmp_path, capsys):
+        rng = random.Random(900 + seed)
+        g = random_connected_graph(rng.randint(7, 11), rng.choice([0.2, 0.3, 0.45]), rng)
+        code, out, _ = run_cli(capsys, ["crossgraph", *dimacs_args(tmp_path, g)])
+        assert code == 0
+        (rec,) = answers(out, "crossgraph")
+        nodes = [frozenset(row) for row in rec["answer"]["nodes"]]
+        assert nodes == list(enum_min_seps(g))
+        assert rec["answer"]["edges"] == self.expected_edges(g, nodes)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_per_component(self, seed, capsys, monkeypatch):
+        text = interleaved_edgelist(random.Random(950 + seed))
+        monkeypatch.setattr("sys.stdin", stdin_of(text))
+        code, out, _ = run_cli(capsys, ["crossgraph", "--per-component"])
+        assert code == 0
+        g, _labels = parse_graph(text, "edgelist")
+        records = answers(out, "crossgraph")
+        assert [r["component"] for r in records] == [0, 1]
+        for rec, comp in zip(records, connected_components(g)):
+            sub, orig = induced_subgraph(g, comp)
+            local = {o: i for i, o in enumerate(orig)}
+            nodes = [frozenset(local[v] for v in row) for row in rec["answer"]["nodes"]]
+            assert rec["answer"]["edges"] == self.expected_edges(sub, nodes)
