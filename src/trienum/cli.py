@@ -30,14 +30,15 @@ import argparse
 import json
 import os
 import sys
+from itertools import compress
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, NoReturn
 
-from .graph import Graph, GraphError, connected_components, induced_subgraph, mask_of
+from .graph import Graph, GraphError, bits, connected_components, induced_subgraph, mask_of
 from .io import FORMATS, ParseError, parse_graph
 from .maxind import EnumStats
 from .separators import _meets_two, _sides, enum_min_seps
 from .treedecomp import enum_proper_tds
-from .triangulate import EXTENDERS, _fill_pairs, enum_min_triangulations
+from .triangulate import EXTENDERS, enum_min_triangulations
 
 DEFAULT_CROSSGRAPH_LIMIT = 500
 CROSSGRAPH_LIMIT_ENV = "TRIENUM_CROSSGRAPH_LIMIT"
@@ -79,9 +80,8 @@ def _percentile(ordered: list[float], q: float) -> float:
 class _Texts(dict):
     """A fragment table: the text of each key, made by ``fmt`` on its
     first lookup and then kept. A table lives for one component's run,
-    so it holds one text per distinct fragment of that run (a fill pair
-    is a non-edge, a bag one of its distinct bags), however many answers
-    repeat it."""
+    so it holds one text per distinct fragment of that run (a bag or a
+    tree edge), however many answers repeat it."""
 
     def __init__(self, fmt: Callable[[Any], str]) -> None:
         super().__init__()
@@ -115,21 +115,43 @@ def _minseps(sub: Graph, orig: Ids, cid: int | None, args: argparse.Namespace) -
     return map(_set_text(orig, args.output), enum_min_seps(sub))
 
 
+def _pair_text(vertex: list[str], pair: str, n: int, p: int) -> str:
+    """The text of the fill pair at bit p = u*n + w of a packed fill."""
+    u, w = divmod(p, n)
+    return pair.format(vertex[u], vertex[w])
+
+
+# bin(fill) reversed, as bytes, to selectors: bit p of the fill selects slot p
+_SELECT = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _triangulations(
     sub: Graph, orig: Ids, cid: int | None, args: argparse.Namespace
 ) -> Iterator[str]:
     jsonl = args.output == "jsonl"
     vertex = list(map(str, orig))
     pair = "[{}, {}]" if jsonl else "{}-{}"
-    pairs = _Texts(lambda p: pair.format(vertex[p[0]], vertex[p[1]]))
+    n = sub.n
+    # slot p holds the text of the fill pair at bit p of a packed fill,
+    # made on the first answer that holds the pair; the slots reach only
+    # as far as the highest such bit, so a chordal component has none
+    slots: list[str] = []
+    made = 0
     for tri in enum_min_triangulations(sub, extender=args.extender):
-        h = tri.chordal_graph
-        # read off the masks: the pairs ascend, so the texts do too
-        fill = map(pairs.__getitem__, _fill_pairs(sub._adj, h._adj))
+        fill = tri._fill
+        new = fill & ~made
+        if new:
+            made |= new
+            slots += [""] * (new.bit_length() - len(slots))
+            for p in bits(new):
+                slots[p] = _pair_text(vertex, pair, n, p)
+        # one C-level pass picks the texts, in ascending bit order
+        texts = compress(slots, bin(fill)[:1:-1].encode().translate(_SELECT))
+        m = sub.edge_count + fill.bit_count()
         if jsonl:
-            yield f'{{"fill": [{", ".join(fill)}], "edge_count": {h.edge_count}}}'
+            yield f'{{"fill": [{", ".join(texts)}], "edge_count": {m}}}'
         else:
-            yield f"fill={','.join(fill) or '-'} m={h.edge_count}"
+            yield f"fill={','.join(texts) or '-'} m={m}"
 
 
 def _treedecomps(

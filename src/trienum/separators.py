@@ -55,16 +55,13 @@ def is_minimal_separator(g: Graph, S: Iterable[int]) -> bool:
     """Full-component criterion: S is a minimal separator exactly when at
     least two components of g minus S have S as their whole neighborhood."""
     smask = _check_subset(g, S)
-    if not smask:
-        return False
-    sub = (1 << g.n) - 1 & ~smask
-    full = 0
-    for _comp, nb in _components_masks(g._adj, sub):
-        if nb == smask:
-            full += 1
-            if full == 2:
-                return True
-    return False
+    return _is_minimal(_components_masks(g._adj, (1 << g.n) - 1 & ~smask), smask)
+
+
+def _is_minimal(parts: list[tuple[int, int]], smask: int) -> bool:
+    """True iff S is nonempty and at least two of the components of g
+    minus S, given with their boundaries, are full: their boundary is S."""
+    return bool(smask) and sum(nb == smask for _comp, nb in parts) >= 2
 
 
 def _sides(adj: list[int], n: int, smask: int) -> list[int]:
@@ -90,15 +87,19 @@ def crosses(g: Graph, S: Iterable[int], T: Iterable[int]) -> bool:
 
     Vertices of T that lie in S belong to no component of g minus S and
     cannot witness a crossing. The relation is symmetric on minimal
-    separators.
+    separators. One sweep of g minus S gives both its components, the
+    sides, and their boundaries, which check that S is minimal; T's
+    check is a second sweep.
     """
     smask = _check_subset(g, S)
     tmask = _check_subset(g, T)
-    if not is_minimal_separator(g, bits(smask)) or not is_minimal_separator(
-        g, bits(tmask)
+    full = (1 << g.n) - 1
+    parts = _components_masks(g._adj, full & ~smask)
+    if not _is_minimal(parts, smask) or not _is_minimal(
+        _components_masks(g._adj, full & ~tmask), tmask
     ):
         raise GraphError("crosses requires minimal separators")
-    return _meets_two(_sides(g._adj, g.n, smask), tmask)
+    return _meets_two([comp for comp, _nb in parts], tmask)
 
 
 def enum_min_seps(g: Graph) -> Iterator[Separator]:

@@ -40,7 +40,7 @@ from .graph import (
     vertex_set,
 )
 from .maxind import EnumStats, EventHook
-from .triangulate import _found_triangulations, _saturated, is_minimal_triangulation
+from .triangulate import _found_triangulations, _saturated, _unpacked, is_minimal_triangulation
 
 # Not called here: the benchmark's tracer times the triangulation layer
 # by rebinding this name in this module and in `cli`, so it stays
@@ -430,13 +430,14 @@ def enum_proper_tds(
     the Kruskal tree of `clique_tree`, and the rest follow in the fixed
     order of `enum_max_spanning_trees`.
 
-    Each triangulation is the one its extender run ended with, kept as
-    adjacency masks, and is read off into its reduced clique graph along
-    the run's elimination order, or along a peel when the run has none.
+    Each triangulation is the one its extender run ended with, unpacked
+    into adjacency masks, and is read off into its reduced clique graph
+    along the run's elimination order, or along a peel when the run has
+    none.
     Each distinct bag is one frozenset for the whole run.
     """
     bags: dict[int, VertexSet] = {}
-    for _family, adj, order in _found_triangulations(g, extender, stats, hook):
-        wg = _clique_graph(adj, g.n, bags, order)
+    for _family, h, order in _found_triangulations(g, extender, stats, hook):
+        wg = _clique_graph(_unpacked(h, g.n), g.n, bags, order)
         for edges in enum_max_spanning_trees(wg):
             yield TreeDecomposition(host=g, bags=wg.nodes, edges=edges)

@@ -10,10 +10,10 @@ enumerator of all minimal triangulations.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, TypeAlias
+from typing import Callable, Iterable, Iterator, Sequence, TypeAlias
 
 from .graph import (
     DisconnectedGraphError,
@@ -51,37 +51,63 @@ ParallelFamily = frozenset[Separator]
 Payload: TypeAlias = "tuple[int, list[int] | None]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Triangulation:
     """A chordal supergraph ``chordal_graph`` of ``base``.
 
     ``family`` is the maximal set of pairwise-parallel minimal
-    separators whose saturation produced the triangulation. Equality
-    and hashing use these three fields.
+    separators whose saturation produced the triangulation. The
+    triangulation is kept packed, as ``_packed`` writes it, and
+    ``chordal_graph`` and ``fill_edges`` are built from it on first read
+    and then kept. Equality and hashing use the base, the family and
+    the packed triangulation.
     """
 
     base: Graph
-    chordal_graph: Graph
     family: ParallelFamily
+    _h: int
+    _nonedges: int = field(compare=False)  # ``_nonedges(base._adj)``
+
+    def __init__(self, base: Graph, chordal_graph: Graph, family: ParallelFamily) -> None:
+        if chordal_graph.n != base.n:
+            raise GraphError("a triangulation has the vertices of its base")
+        vars(self).update(
+            base=base,
+            family=family,
+            _h=_packed(chordal_graph._adj),
+            _nonedges=_nonedges(base._adj),
+            chordal_graph=chordal_graph,
+        )
+
+    @classmethod
+    def _of(cls, base: Graph, h: int, family: ParallelFamily, nonedges: int) -> Triangulation:
+        """The triangulation packed as ``h``, over a base whose
+        ``_nonedges`` are ``nonedges``."""
+        t = object.__new__(cls)
+        vars(t).update(base=base, family=family, _h=h, _nonedges=nonedges)
+        return t
+
+    @cached_property
+    def chordal_graph(self) -> Graph:
+        return Graph._from_masks(_unpacked(self._h, self.base.n))
+
+    @property
+    def _fill(self) -> int:
+        """The fill edges, packed: bit u*n + w for each fill edge (u, w)
+        with u < w."""
+        return self._h & self._nonedges
 
     @cached_property
     def fill_edges(self) -> frozenset[tuple[int, int]]:
         """The edges of ``chordal_graph`` missing from ``base``, each once
         as (u, w) with u < w; computed on first read."""
-        return frozenset(_fill_pairs(self.base._adj, self.chordal_graph._adj))
+        return frozenset(_pairs(self._fill, self.base.n))
 
-
-def _fill_pairs(
-    base_adj: Iterable[int], h_adj: Iterable[int]
-) -> Iterator[tuple[int, int]]:
-    """The edges of H missing from G, given their adjacency masks, as
-    (u, w) with u < w, in ascending order."""
-    for u, (b, h) in enumerate(zip(base_adj, h_adj)):
-        m = (h & ~b) >> (u + 1)
-        while m:
-            low = m & -m
-            m ^= low
-            yield u, u + low.bit_length()
+    def __repr__(self) -> str:
+        return (
+            f"Triangulation(base={self.base!r}, chordal_graph={self.chordal_graph!r}, "
+            f"family={self.family!r})"
+        )
 
 
 def _check_family(g: Graph, phi: Iterable[Iterable[int]]) -> list[int]:
@@ -131,6 +157,21 @@ def _packed(adj: list[int]) -> int:
 def _unpacked(h: int, n: int) -> list[int]:
     full = (1 << n) - 1
     return [h >> shift & full for shift in range(0, n * n, n)]
+
+
+def _nonedges(adj: Sequence[int]) -> int:
+    """The non-edges (u, w), u < w, of the graph on ``adj``, packed as
+    ``_packed`` packs rows: bit u*n + w. The fill of a supergraph H is
+    ``_packed(H) & _nonedges(G)``; its bit positions ascend with the
+    pairs, and ``_pairs`` reads them."""
+    full = (1 << len(adj)) - 1
+    return _packed([(full ^ m) >> (u + 1) << (u + 1) for u, m in enumerate(adj)])
+
+
+def _pairs(packed: int, n: int) -> list[tuple[int, int]]:
+    """The pairs (u, w) at the set bits u*n + w of a packed mask, in
+    ascending order."""
+    return [divmod(p, n) for p in bits(packed)]
 
 
 def saturate_family(g: Graph, phi: Iterable[Iterable[int]]) -> Graph:
@@ -273,7 +314,7 @@ def min_tri_sandwich(g: Graph, g_t: Graph) -> Graph:
     if not is_chordal(g_t):
         raise GraphError("g_t is not chordal")
     adj = list(g_t._adj)
-    _sandwich_masks(adj, list(_fill_pairs(g._adj, g_t._adj)))
+    _sandwich_masks(adj, _pairs(_packed(adj) & _nonedges(g._adj), g.n))
     return Graph._from_masks(adj)
 
 
@@ -539,10 +580,10 @@ def _found_triangulations(
     extender: str,
     stats: EnumStats | None,
     hook: EventHook | None,
-) -> Iterator[tuple[ParallelFamily, list[int], list[int] | None]]:
+) -> Iterator[tuple[ParallelFamily, int, list[int] | None]]:
     """Every maximal set of pairwise-parallel minimal separators of a
     connected g, in the independent-set engine's order, with the minimal
-    triangulation it gives, as adjacency masks, and a perfect
+    triangulation it gives, packed by ``_packed``, and a perfect
     elimination ordering of it, or None: what the extender run that
     found the family handed over. The engine prints the families in the
     order their runs found them, so each takes the oldest payload.
@@ -558,8 +599,7 @@ def _found_triangulations(
     runs: deque[Payload] = deque()
     inst.payloads[0] = runs
     for family in enum_max_independent(inst, stats=stats, hook=hook):
-        h, order = runs.popleft()
-        yield family, _unpacked(h, g.n), order
+        yield family, *runs.popleft()
 
 
 def enum_min_triangulations(
@@ -572,9 +612,10 @@ def enum_min_triangulations(
 
     Each maximal set of pairwise-parallel minimal separators produced by
     the independent-set engine comes with its triangulation, the one
-    that the extender run which found it ended with, as masks; its fill
-    is read off them only when ``fill_edges`` is first read. A chordal
-    input yields exactly itself, with an empty fill.
+    that the extender run which found it ended with, kept packed; its
+    graph and its fill are built only when first read. A chordal input
+    yields exactly itself, with an empty fill.
     """
-    for family, adj, _order in _found_triangulations(g, extender, stats, hook):
-        yield Triangulation(base=g, chordal_graph=Graph._from_masks(adj), family=family)
+    nonedges = _nonedges(g._adj)
+    for family, h, _order in _found_triangulations(g, extender, stats, hook):
+        yield Triangulation._of(g, h, family, nonedges)

@@ -853,6 +853,28 @@ class TestWriterReference:
                 assert (code, err) == (0, "")
                 assert out == reference_stdout(text, command, output, extender, per_component)
 
+    @pytest.mark.parametrize("extender", ["blackbox", "separator"])
+    @pytest.mark.parametrize("output", ["jsonl", "plain"])
+    def test_wide_and_chordal_components(self, output, extender, capsys, monkeypatch):
+        # 70 vertices on a path, with a 4-cycle at its start and a 4- and
+        # a 6-cycle at its end, so fill pairs sit on both sides of 64;
+        # then a chordal component, whose one answer has no fill
+        wide = [(i, i + 1) for i in range(69)] + [(0, 3), (60, 63), (64, 69)]
+        chordal = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)]
+        text = "".join(f"w{u} w{v}\n" for u, v in wide)
+        text += "".join(f"k{u} k{v}\n" for u, v in chordal)
+        argv = ["triangulations", "--output", output, "--extender", extender]
+        for per_component, piece in ((True, text), (False, text[: text.index("k")])):
+            monkeypatch.setattr("sys.stdin", stdin_of(piece))
+            code, out, err = run_cli(capsys, argv + ["--per-component"] * per_component)
+            assert (code, err) == (0, "")
+            assert out == reference_stdout(piece, "triangulations", output, extender, per_component)
+            lines = out.splitlines()
+            assert len(lines) == 2 * 2 * 14 + per_component + (output == "jsonl")
+            if per_component:
+                no_fill = '"fill": [], "edge_count": 6}}' if output == "jsonl" else "fill=- m=6"
+                assert lines[-1].endswith(no_fill)
+
 
 def count_fragments(monkeypatch):
     """The keys whose text a fragment table makes, in the order made."""
@@ -877,7 +899,16 @@ class TestFragmentsMadeOnce:
         tris = list(enum_min_triangulations(g))
         distinct = set().union(*(t.fill_edges for t in tris))
         assert (len(tris), len(distinct), sum(len(t.fill_edges) for t in tris)) == (429, 27, 2574)
-        made = count_fragments(monkeypatch)
+        # the fill pairs' texts are made into slots, one per bit position
+        # u*n + w of the packed fill
+        made = []
+        make = cli._pair_text
+
+        def counting(vertex, pair, n, p):
+            made.append(divmod(p, n))
+            return make(vertex, pair, n, p)
+
+        monkeypatch.setattr(cli, "_pair_text", counting)
         argv = ["triangulations", *dimacs_args(tmp_path, g), "--output", output]
         code, out, _ = run_cli(capsys, argv)
         assert code == 0 and out.count("fill") == 429

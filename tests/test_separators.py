@@ -100,6 +100,27 @@ class TestCrosses:
             for s, t in itertools.combinations(seps, 2):
                 assert crosses(g, s, t) == crosses(g, t, s)
 
+    def test_one_sweep_of_g_minus_s_matches_the_definition(self, monkeypatch):
+        # g minus S is swept once for both S's check and its sides, and
+        # g minus T once for T's check
+        sweeps = []
+        sweep = separators._components_masks
+
+        def counted(adj, sub):
+            sweeps.append(sub)
+            return sweep(adj, sub)
+
+        monkeypatch.setattr(separators, "_components_masks", counted)
+        rng = random.Random(74)
+        for _ in range(30):
+            g = random_connected_graph(rng.randint(4, 9), rng.choice([0.25, 0.4]), rng)
+            for s, t in itertools.product(sorted(brute_min_seps(g), key=canon), repeat=2):
+                pairs = itertools.combinations(sorted(t - s), 2)
+                separated = any(is_separator(g, s, u, v) for u, v in pairs)
+                sweeps.clear()
+                assert crosses(g, s, t) == separated
+                assert len(sweeps) == 2
+
 
 class TestEnumMinSeps:
     def test_p4(self):

@@ -12,6 +12,7 @@ from trienum import (
     Graph,
     GraphError,
     NotChordalError,
+    Triangulation,
     canon,
     clq_min_seps,
     crosses,
@@ -46,6 +47,9 @@ from trienum.graph import (
 from trienum.triangulate import (
     _extend_blackbox,
     _minfill_masks,
+    _nonedges,
+    _packed,
+    _pairs,
     _sandwich_masks,
     _saturated,
 )
@@ -451,6 +455,41 @@ class TestPeoMinSeps:
             assert max_cliques_chordal(g) == sorted(map(vertex_set, want[0]), key=sorted)
             if n and is_connected(g):
                 assert extract_min_seps_chordal(g) == set(map(vertex_set, want[1]))
+
+
+@st.composite
+def graph_and_supergraph(draw):
+    """A graph G on n vertices, n at and around the int limb boundaries of
+    the packed rows, and a supergraph H of it, not necessarily chordal."""
+    n = draw(st.sampled_from([1, 2, 63, 64, 65, 130]))
+    # one seed drawn, so that the large graphs draw little entropy
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    p, q = draw(st.sampled_from([0.0, 0.05, 0.3])), draw(st.sampled_from([0.0, 0.02, 0.2]))
+    pairs = list(itertools.combinations(range(n), 2))
+    base = [e for e in pairs if rng.random() < p]
+    more = [e for e in pairs if rng.random() < q]
+    return Graph(n, base), Graph(n, base + more)
+
+
+class TestPackedFill:
+    """The fill of H over G is H & N, N G's packed non-edges above the
+    diagonal, read in ascending order of its bit positions u*n + w."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(graph_and_supergraph())
+    def test_fill_is_the_added_edges_in_order(self, graphs):
+        g, h = graphs
+        added = sorted(set(h.edges()) - set(g.edges()))
+        assert _pairs(_packed(h._adj) & _nonedges(g._adj), g.n) == added
+        t = Triangulation(base=g, chordal_graph=h, family=frozenset())
+        assert t.fill_edges == set(added)
+        assert t._fill.bit_count() == h.edge_count - g.edge_count
+
+    def test_nonedges_of_small_graphs(self):
+        for n in range(6):
+            for g in all_graphs(n):
+                missing = set(itertools.combinations(range(n), 2)) - set(g.edges())
+                assert _pairs(_nonedges(g._adj), n) == sorted(missing)
 
 
 class TestMinTriSandwich:
@@ -940,28 +979,61 @@ class TestEnumMinTriangulations:
         g = cycle_graph(8)
         tris = list(enum_min_triangulations(g, extender))
         assert len(tris) == 132  # Catalan(6)
-        assert not any("fill_edges" in t.__dict__ for t in tris)
+        lazy = {"chordal_graph", "fill_edges"}
+        for t in tris:
+            built = Triangulation(
+                base=g, chordal_graph=saturate_family(g, t.family), family=t.family
+            )
+            assert built == t and hash(built) == hash(t)
+            # comparing and hashing read the packed graph, not a built one
+            assert not lazy & t.__dict__.keys()
         for t in tris:
             assert t.fill_edges == set(t.chordal_graph.edges()) - set(g.edges())
-            assert "fill_edges" in t.__dict__
+            assert lazy <= t.__dict__.keys()
         again = list(enum_min_triangulations(g, extender))
         assert again == tris
         assert [hash(t) for t in again] == [hash(t) for t in tris]
-        calls = []
-        fill_pairs = triangulate._fill_pairs
+        # the packed fill is read once per written answer, and only there
+        reads = []
+        fill = Triangulation._fill
 
-        def counted(*args):
-            calls.append(args)
-            return fill_pairs(*args)
+        def counted(t):
+            reads.append(t)
+            return fill.fget(t)
 
-        for module in (triangulate, cli):
-            monkeypatch.setattr(module, "_fill_pairs", counted)
+        monkeypatch.setattr(Triangulation, "_fill", property(counted))
+        graphs = []
+        from_masks = Graph._from_masks.__func__
+
+        def built(cls, adj):
+            graphs.append(adj)
+            return from_masks(cls, adj)
+
+        monkeypatch.setattr(Graph, "_from_masks", classmethod(built))
         path = tmp_path / "c8.txt"
         path.write_text("".join(f"{u} {v}\n" for u, v in g.edges()))
         for command, runs in (("stats", 0), ("triangulations", 132)):
-            calls.clear()
+            reads.clear()
+            graphs.clear()
             assert cli.main([command, str(path), "--extender", extender]) == 0
-            assert len(calls) == runs
+            assert (len(reads), graphs) == (runs, [])
+
+    def test_triangulation_value(self):
+        g = cycle_graph(5)
+        t = next(enum_min_triangulations(g))
+        h = saturate_family(g, t.family)
+        assert repr(t) == f"Triangulation(base={g!r}, chordal_graph={h!r}, family={t.family!r})"
+        built = Triangulation(g, h, t.family)
+        assert built == t and built.chordal_graph is h
+        assert built != Triangulation(base=g, chordal_graph=h, family=frozenset())
+        assert t != (g, h, t.family)
+        for name in ("base", "chordal_graph", "fill_edges", "family"):
+            with pytest.raises(AttributeError):
+                setattr(t, name, None)
+            with pytest.raises(AttributeError):
+                delattr(t, name)
+        with pytest.raises(GraphError):
+            Triangulation(base=g, chordal_graph=cycle_graph(6), family=t.family)
 
     def test_empty_graph_raises_before_any_answer(self):
         with pytest.raises(GraphError, match="at least one vertex"):
