@@ -3,14 +3,16 @@
 Every command is one entry of the ``COMMANDS`` table: its help text, the
 ``kind`` of its JSONL records, a generator of the text of each answer
 for one connected component (in input ids, in the selected output
-style), and whether it has a dot output. The subcommands and the check
-that ``--output dot`` is available come from the table, and one loop,
-``_run``, writes the answers of every command: it wraps each JSONL
-answer in its record, numbers the records across components, tags them
-with their component, and stops at ``--limit`` right after an answer is
-written. The ``minseps``, ``triangulations`` and ``treedecomps`` answers
-are joined from text fragments made once per component; ``json`` writes
-only the header and the ``stats`` and ``crossgraph`` answers.
+style), its output styles and its own flags. Each subcommand takes the
+shared arguments, ``--output`` with the command's styles, and the
+command's own flags as ``OPTIONS`` specifies them, so argparse rejects
+any other flag or style. One loop, ``_run``, writes the answers of
+every command: it wraps each JSONL answer in its record, numbers the
+records across components, tags them with their component, and stops
+at ``--limit`` right after an answer is written. The ``minseps``,
+``triangulations`` and ``treedecomps`` answers are joined from text
+fragments made once per component; ``json`` writes only the header and
+the ``stats`` and ``crossgraph`` answers.
 
 Answers are written one per line and flushed immediately, so piping
 into ``head`` or using ``--limit`` stops the enumeration early instead
@@ -45,10 +47,6 @@ CROSSGRAPH_LIMIT_ENV = "TRIENUM_CROSSGRAPH_LIMIT"
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as the shell reports Ctrl-C
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as for a writer killed by SIGPIPE
 Ids = tuple[int, ...]  # a component's vertex ids in the input graph
-# the header, stats and crossgraph records are built fresh from dicts,
-# lists, strings and numbers, so they hold no cycle to check for; the
-# output is that of ``json.dumps``
-_encode = json.JSONEncoder(check_circular=False).encode
 
 
 class GuardViolation(RuntimeError):
@@ -71,8 +69,6 @@ def _dot(name: str, node: str, labels: Iterable[str], edges: Iterable[Iterable[i
 
 def _percentile(ordered: list[float], q: float) -> float:
     """The nearest-rank q-quantile of samples sorted ascending."""
-    if not ordered:
-        return 0.0
     pos = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
     return ordered[pos]
 
@@ -195,7 +191,7 @@ def _crossgraph(sub: Graph, orig: Ids, cid: int | None, args: argparse.Namespace
     ]
     if args.output == "jsonl":
         rows = [[orig[v] for v in sorted(s)] for s in nodes]
-        yield _encode({"nodes": rows, "edges": edges})
+        yield json.dumps({"nodes": rows, "edges": edges})
         return
     labels = map(_set_text(orig, args.output), nodes)
     if args.output == "dot":
@@ -227,35 +223,59 @@ def _stats(sub: Graph, orig: Ids, cid: int | None, args: argparse.Namespace) -> 
         ms = [d * 1000.0 for d in stats.delays]
         ordered = sorted(ms)
         answer["delay_ms"] = {
-            "first": ms[0] if ms else 0.0,
+            "first": ms[0],
             "p50": _percentile(ordered, 0.50),
             "p90": _percentile(ordered, 0.90),
             "p99": _percentile(ordered, 0.99),
-            "max": ordered[-1] if ordered else 0.0,
+            "max": ordered[-1],
         }
-    yield _encode(answer)
+    yield json.dumps(answer)
 
 
 class Command(NamedTuple):
     help: str
     kind: str  # the "kind" of the command's JSONL records
     answers: Callable[[Graph, Ids, int | None, argparse.Namespace], Iterator[str]]
-    dot: bool = False  # whether it has a dot output
+    outputs: tuple[str, ...] = ("jsonl", "plain")  # its --output styles
+    options: tuple[str, ...] = ()  # its own flags, keys of OPTIONS
 
 
+# the argparse spec of each flag that only some commands take
+OPTIONS: dict[str, dict[str, Any]] = {
+    "--extender": {"choices": EXTENDERS, "default": "blackbox"},
+    "--delay-stats": {"action": "store_true", "help": "include per-answer delay percentiles"},
+    "--max-crossgraph-nodes": {
+        "type": int,
+        "help": f"node cap (default {DEFAULT_CROSSGRAPH_LIMIT}, env {CROSSGRAPH_LIMIT_ENV})",
+    },
+}
 COMMANDS = {
     "minseps": Command("stream all minimal separators", "minsep", _minseps),
     "triangulations": Command(
-        "stream all minimal triangulations", "triangulation", _triangulations
+        "stream all minimal triangulations",
+        "triangulation",
+        _triangulations,
+        options=("--extender",),
     ),
     "treedecomps": Command(
-        "stream all proper tree decompositions", "treedecomp", _treedecomps, dot=True
+        "stream all proper tree decompositions",
+        "treedecomp",
+        _treedecomps,
+        outputs=("jsonl", "plain", "dot"),
+        options=("--extender",),
     ),
     "crossgraph": Command(
-        "materialize the separator crossing graph", "crossgraph", _crossgraph, dot=True
+        "materialize the separator crossing graph",
+        "crossgraph",
+        _crossgraph,
+        outputs=("jsonl", "plain", "dot"),
+        options=("--max-crossgraph-nodes",),
     ),
     "stats": Command(
-        "run the triangulation enumeration and report counters", "stats", _stats
+        "run the triangulation enumeration and report counters",
+        "stats",
+        _stats,
+        options=("--extender", "--delay-stats"),
     ),
 }
 
@@ -276,27 +296,16 @@ def build_parser() -> argparse.ArgumentParser:
             help="input file, or - for standard input (default)",
         )
         p.add_argument("--format", choices=FORMATS, default="edgelist")
-        p.add_argument("--output", choices=("jsonl", "plain", "dot"), default="jsonl")
+        p.add_argument("--output", choices=command.outputs, default="jsonl")
         p.add_argument("--limit", type=int, help="stop after this many answers")
-        p.add_argument("--extender", choices=EXTENDERS, default="blackbox")
         p.add_argument(
             "--per-component",
             action="store_true",
             help="run each connected component separately instead of rejecting "
             "disconnected input",
         )
-        p.add_argument(
-            "--delay-stats",
-            action="store_true",
-            help="include per-answer delay percentiles (stats command)",
-        )
-        p.add_argument(
-            "--max-crossgraph-nodes",
-            type=int,
-            default=None,
-            help="node cap for the crossgraph command "
-            f"(default {DEFAULT_CROSSGRAPH_LIMIT}, env {CROSSGRAPH_LIMIT_ENV})",
-        )
+        for flag in command.options:
+            p.add_argument(flag, **OPTIONS[flag])
     return parser
 
 
@@ -336,7 +345,7 @@ def _run(args: argparse.Namespace, pieces: list[tuple[Graph, Ids, int | None]]) 
     command = COMMANDS[args.command]
     jsonl = args.output == "jsonl"
     # a record's keys in the order json.dumps writes them
-    head = f'{{"kind": {_encode(command.kind)}, "index": '
+    head = f'{{"kind": {json.dumps(command.kind)}, "index": '
     index = 0
     for sub, orig, cid in pieces:
         if jsonl:
@@ -379,12 +388,9 @@ def main(argv: list[str] | None = None) -> int:
 def _main(argv: list[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.output == "dot" and not COMMANDS[args.command].dot:
-        with_dot = [name for name, command in COMMANDS.items() if command.dot]
-        parser.error(f"dot output is only available for {' and '.join(with_dot)}")
     if args.limit is not None and args.limit < 1:
         parser.error("--limit must be at least 1")
-    if args.command == "crossgraph" or args.max_crossgraph_nodes is not None:
+    if args.command == "crossgraph":
         # resolved once, so a bad cap is reported before any output
         try:
             args.max_crossgraph_nodes = _crossgraph_limit(args)
@@ -422,7 +428,7 @@ def _main(argv: list[str] | None) -> int:
 
     if args.output == "jsonl":
         header = {"kind": "graph", "n": g.n, "edge_count": g.edge_count}
-        _write(_encode({**header, "labels": labels}))
+        _write(json.dumps({**header, "labels": labels}))
     try:
         _run(args, pieces)
     except GuardViolation as exc:

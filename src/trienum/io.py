@@ -28,28 +28,21 @@ class ParseError(ValueError):
 
 
 def _add_edge(
-    edges: list[tuple[int, int]],
-    seen: set[tuple[int, int]],
-    u: int,
-    v: int,
-    line: int | None,
-    shown: tuple[object, object],
+    adj: list[int], u: int, v: int, line: int | None, shown: tuple[object, object]
 ) -> None:
-    """Add the edge between ids u and v; errors name the endpoints as
-    ``shown``, the way the input wrote them."""
+    """Add the edge between ids u and v to the adjacency masks; errors
+    name the endpoints as ``shown``, the way the input wrote them."""
     if u == v:
         raise ParseError(f"self-loop at vertex {shown[0]}", line)
-    key = (min(u, v), max(u, v))
-    if key in seen:
+    if adj[u] >> v & 1:
         raise ParseError(f"duplicate edge ({shown[0]}, {shown[1]})", line)
-    seen.add(key)
-    edges.append(key)
+    adj[u] |= 1 << v
+    adj[v] |= 1 << u
 
 
 def _parse_dimacs(text: str) -> tuple[Graph, list[str]]:
     n = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    adj: list[int] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -70,6 +63,7 @@ def _parse_dimacs(text: str) -> tuple[Graph, list[str]]:
                 raise ParseError("negative edge count", line_no)
             if n > sys.maxsize:
                 raise ParseError("vertex count too large", line_no)
+            adj = [0] * n
         elif fields[0] == "e":
             if n is None:
                 raise ParseError("edge before problem header", line_no)
@@ -81,26 +75,26 @@ def _parse_dimacs(text: str) -> tuple[Graph, list[str]]:
                 raise ParseError(f"malformed edge line {line!r}", line_no) from None
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ParseError(f"endpoint out of range in ({u}, {v})", line_no)
-            _add_edge(edges, seen, u - 1, v - 1, line_no, (u, v))
+            _add_edge(adj, u - 1, v - 1, line_no, (u, v))
         else:
             raise ParseError(f"unrecognized line {line!r}", line_no)
     if n is None:
         raise ParseError("missing problem header")
-    return Graph(n, edges), [str(i + 1) for i in range(n)]
+    return Graph._from_masks(adj), [str(i + 1) for i in range(n)]
 
 
 def _parse_edgelist(text: str) -> tuple[Graph, list[str]]:
     labels: list[str] = []
     index: dict[str, int] = {}
+    adj: list[int] = []
 
     def intern(token: str) -> int:
         if token not in index:
             index[token] = len(labels)
             labels.append(token)
+            adj.append(0)
         return index[token]
 
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -109,10 +103,10 @@ def _parse_edgelist(text: str) -> tuple[Graph, list[str]]:
         if len(tokens) != 2:
             raise ParseError(f"expected two labels, got {line!r}", line_no)
         a, b = tokens
-        _add_edge(edges, seen, intern(a), intern(b), line_no, (a, b))
+        _add_edge(adj, intern(a), intern(b), line_no, (a, b))
     if not labels:
         raise ParseError("empty input")
-    return Graph(len(labels), edges), labels
+    return Graph._from_masks(adj), labels
 
 
 def _is_int(x: object) -> bool:
@@ -136,16 +130,15 @@ def _parse_json(text: str) -> tuple[Graph, list[str]]:
         raise ParseError('"n" is too large')
     if not isinstance(data["edges"], list):
         raise ParseError('"edges" must be a list')
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    adj = [0] * n
     for pos, pair in enumerate(data["edges"]):
         if not isinstance(pair, list) or len(pair) != 2 or not all(map(_is_int, pair)):
             raise ParseError(f"edge #{pos} must be a pair of integers")
         u, v = pair
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"edge #{pos} endpoint out of range in ({u}, {v})")
-        _add_edge(edges, seen, u, v, None, (u, v))
-    return Graph(n, edges), [str(i) for i in range(n)]
+        _add_edge(adj, u, v, None, (u, v))
+    return Graph._from_masks(adj), [str(i) for i in range(n)]
 
 
 def parse_graph(text: str, fmt: str) -> tuple[Graph, list[str]]:

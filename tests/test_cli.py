@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import itertools
@@ -41,6 +42,11 @@ def stdin_of(text):
     """A stand-in for ``sys.stdin`` that, like the real one, has bytes
     underneath."""
     return io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
+
+
+def extender_flag(command, extender):
+    """``--extender`` for the commands that take it, else nothing."""
+    return ["--extender", extender] if "--extender" in cli.COMMANDS[command].options else []
 
 
 def write_cycle(tmp_path, n, name="g.col"):
@@ -290,14 +296,15 @@ class TestRowsFromMasks:
             g = random_connected_graph(rng.randint(6, 10), rng.choice([0.25, 0.4]), rng)
             path = tmp_path / f"g{trial}.json"
             path.write_text(json.dumps({"n": g.n, "edges": [list(e) for e in g.edges()]}))
-            argv = [str(path), "--format", "json", "--extender", extender, "--limit", "60"]
+            argv = [str(path), "--format", "json", "--limit", "60"]
+            with_extender = [*argv, "--extender", extender]
             _, out, _ = run_cli(capsys, ["minseps", *argv])
             assert all(ascending(r["answer"]) for r in answers(out, "minsep"))
-            _, out, _ = run_cli(capsys, ["triangulations", *argv])
+            _, out, _ = run_cli(capsys, ["triangulations", *with_extender])
             tris = answers(out, "triangulation")
             longest = max([longest] + [len(r["answer"]["fill"]) for r in tris])
             assert all(sorted_rows(r["answer"]["fill"]) for r in tris)
-            _, out, _ = run_cli(capsys, ["treedecomps", *argv])
+            _, out, _ = run_cli(capsys, ["treedecomps", *with_extender])
             for r in answers(out, "treedecomp"):
                 assert all(map(ascending, r["answer"]["bags"]))
                 assert sorted_rows(r["answer"]["tree"])
@@ -314,9 +321,8 @@ class TestRowsFromMasks:
     ):
         text = "p edge 12 13\n" + "".join(f"e {u + 1} {v + 1}\n" for u, v in INTERLEAVED)
         monkeypatch.setattr("sys.stdin", stdin_of(text))
-        code, out, _ = run_cli(
-            capsys, [command, "--format", "dimacs", "--per-component", "--extender", extender]
-        )
+        argv = [command, "--format", "dimacs", "--per-component", *extender_flag(command, extender)]
+        code, out, _ = run_cli(capsys, argv)
         assert code == 0
         g, _labels = parse_graph(text, "dimacs")
         pieces = [induced_subgraph(g, comp) for comp in connected_components(g)]
@@ -367,6 +373,85 @@ class TestEncoder:
         (rec,) = answers(out, "stats")
         assert all(isinstance(x, float) for x in rec["answer"]["delay_ms"].values())
         assert lines == [json.dumps(json.loads(line)) for line in lines]
+
+
+SHARED_FLAGS = ["-h", "--help", "--format", "--output", "--limit", "--per-component"]
+# one valid use of each flag that only some commands take
+OWN_FLAG_USES = {
+    "--extender": ["--extender", "separator"],
+    "--delay-stats": ["--delay-stats"],
+    "--max-crossgraph-nodes": ["--max-crossgraph-nodes", "9"],
+}
+
+
+def command_actions(command):
+    """The actions of the parser ``build_parser`` gives ``command``."""
+    (commands,) = [
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return commands.choices[command]._actions
+
+
+def output_styles(command):
+    (output,) = [a for a in command_actions(command) if a.dest == "output"]
+    return list(output.choices)
+
+
+def own_flags(command):
+    """The flags ``build_parser`` gives ``command`` beyond the shared
+    ones, in the order it adds them."""
+    flags = [s for a in command_actions(command) for s in a.option_strings]
+    assert flags[: len(SHARED_FLAGS)] == SHARED_FLAGS
+    return flags[len(SHARED_FLAGS) :]
+
+
+def readme_commands():
+    """Each row of the command table in README's "Command line" section:
+    the command, its ``--output`` styles and its own flags."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            name, _output, styles, flags = line.split("|")[1:-1]
+            quoted = [re.findall(r"`([^`]+)`", cell) for cell in (name, styles, flags)]
+            rows[quoted[0][0]] = (quoted[1], quoted[2])
+    return rows
+
+
+class TestCommandFlags:
+    """Each command takes the shared flags and its own, and no other."""
+
+    def test_flag_slots(self):
+        assert sorted(OWN_FLAG_USES) == sorted(cli.OPTIONS)
+        # 4 shared flags on each of 5 commands, and 5 of their own
+        assert sum(4 + len(own_flags(command)) for command in cli.COMMANDS) == 25
+        with_dot = {c for c in cli.COMMANDS if "dot" in output_styles(c)}
+        assert with_dot == {"treedecomps", "crossgraph"}
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_only_own_flags_are_taken(self, command, tmp_path, capsys):
+        own = own_flags(command)
+        assert own == list(cli.COMMANDS[command].options)
+        argv = [command, write_cycle(tmp_path, 5), "--format", "dimacs"]
+        code, out, err = run_cli(capsys, argv + [x for flag in own for x in OWN_FLAG_USES[flag]])
+        assert (code, err) == (0, "") and out
+        others = [use for flag, use in OWN_FLAG_USES.items() if flag not in own]
+        if "dot" not in output_styles(command):
+            others.append(["--output", "dot"])
+        for use in others:
+            with pytest.raises(SystemExit) as exc:
+                main(argv + use)
+            out, err = capsys.readouterr()
+            assert (exc.value.code, out) == (2, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_readme_table_matches_the_parser(self):
+        rows = readme_commands()
+        assert list(rows) == list(cli.COMMANDS)
+        for command, (styles, flags) in rows.items():
+            assert styles == output_styles(command)
+            assert flags == own_flags(command)
 
 
 class TestGuardsAndErrors:
@@ -470,14 +555,17 @@ class TestGuardsAndErrors:
 
     def test_crossgraph_cap_negative(self, tmp_path, capsys):
         path = write_cycle(tmp_path, 5)
-        for command in ("crossgraph", "minseps"):
-            code, out, err = run_cli(
-                capsys,
-                [command, path, "--format", "dimacs", "--max-crossgraph-nodes", "-1"],
-            )
-            assert code == 2
-            assert out == ""
-            assert err == "error: --max-crossgraph-nodes must be a nonnegative integer, got '-1'\n"
+        argv = [path, "--format", "dimacs", "--max-crossgraph-nodes", "-1"]
+        code, out, err = run_cli(capsys, ["crossgraph", *argv])
+        assert code == 2
+        assert out == ""
+        assert err == "error: --max-crossgraph-nodes must be a nonnegative integer, got '-1'\n"
+        # the other commands take no cap
+        with pytest.raises(SystemExit) as exc:
+            main(["minseps", *argv])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_empty_graph_rejected(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", stdin_of('{"n": 0, "edges": []}'))
@@ -847,7 +935,7 @@ class TestWriterReference:
                 first, second = connected_components(g)
                 assert min(second) < max(first)  # the components' ids interleave
             for output in outputs:
-                argv = [command, "--output", output, "--extender", extender]
+                argv = [command, "--output", output, *extender_flag(command, extender)]
                 monkeypatch.setattr("sys.stdin", stdin_of(text))
                 code, out, err = run_cli(capsys, argv + ["--per-component"] * per_component)
                 assert (code, err) == (0, "")

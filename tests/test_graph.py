@@ -83,6 +83,17 @@ class TestGraphType:
         g = Graph(4, [(3, 2), (1, 0)])
         assert g.edges() == [(0, 1), (2, 3)]
 
+    def test_exact_messages(self):
+        with pytest.raises(GraphError, match=r"^vertex count must be nonnegative, got -1$"):
+            Graph(-1)
+        with pytest.raises(GraphError, match=r"^vertex 2 out of range for n=2$"):
+            Graph(2, [(0, 1)]).has_edge(0, 2)
+
+    def test_not_equal_to_other_types(self):
+        g = Graph(1)
+        assert g.__eq__(1) is NotImplemented
+        assert g != 1 and not g == 1
+
 
 class TestInducedSubgraph:
     def test_c4_three_vertices_gives_path(self):

@@ -1,8 +1,51 @@
+import itertools
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trienum import Graph, ParseError, parse_graph
 
 from conftest import cycle_graph
+
+
+@st.composite
+def edge_lists(draw, min_edges=0):
+    """A vertex count and distinct edges between distinct vertices, each
+    pair in either direction, in any order."""
+    n = draw(st.integers(min_value=2, max_value=70))
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=min_edges, max_size=60))
+    return n, [(v, u) if draw(st.booleans()) else (u, v) for u, v in chosen]
+
+
+class TestAgainstGraphConstructor:
+    """Each parser's graph is the one ``Graph(n, edges)`` builds."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(edge_lists())
+    def test_dimacs(self, case):
+        n, edges = case
+        text = f"p edge {n} {len(edges)}\n" + "".join(f"e {u + 1} {v + 1}\n" for u, v in edges)
+        g, _labels = parse_graph(text, "dimacs")
+        assert g == Graph(n, edges) and g.edge_count == len(edges)
+
+    @settings(max_examples=150, deadline=None)
+    @given(edge_lists())
+    def test_json(self, case):
+        n, edges = case
+        g, _labels = parse_graph(json.dumps({"n": n, "edges": edges}), "json")
+        assert g == Graph(n, edges) and g.edge_count == len(edges)
+
+    @settings(max_examples=150, deadline=None)
+    @given(edge_lists(min_edges=1))  # an edge list without edges is empty input
+    def test_edgelist(self, case):
+        _n, edges = case
+        g, labels = parse_graph("".join(f"v{u} v{v}\n" for u, v in edges), "edgelist")
+        ids = {label: i for i, label in enumerate(labels)}
+        expected = Graph(len(labels), [(ids[f"v{u}"], ids[f"v{v}"]) for u, v in edges])
+        assert g == expected and g.edge_count == len(edges)
 
 
 class TestDimacs:
@@ -59,6 +102,22 @@ class TestDimacs:
         with pytest.raises(ParseError, match="unrecognized"):
             parse_graph("p edge 2 1\nq 1 2\n", "dimacs")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p edge 2 0\np edge 2 0\n", "line 2: duplicate problem header"),
+            ("p edge x 1\n", "line 1: malformed header 'p edge x 1'"),
+            ("p edge -1 0\n", "line 1: negative vertex count"),
+            ("p edge 2 1\ne 1\n", "line 2: malformed edge line 'e 1'"),
+            ("p edge 2 1\ne 1 x\n", "line 2: malformed edge line 'e 1 x'"),
+            ("c comments only\n", "missing problem header"),
+        ],
+    )
+    def test_exact_messages(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_graph(text, "dimacs")
+        assert str(exc.value) == message
+
 
 class TestEdgelist:
     def test_labels_in_first_appearance_order(self):
@@ -96,6 +155,10 @@ class TestEdgelist:
     def test_wrong_token_count(self):
         with pytest.raises(ParseError, match="two labels"):
             parse_graph("a b c\n", "edgelist")
+
+    def test_comments_only(self):
+        with pytest.raises(ParseError, match="^empty input$"):
+            parse_graph("# one\n  # two\n", "edgelist")
 
 
 class TestJson:

@@ -337,3 +337,8 @@ class TestClqMinSeps:
 
     def test_p4_singletons(self):
         assert clq_min_seps(path_graph(4)) == {frozenset({1}), frozenset({2})}
+
+    def test_disconnected_raises(self):
+        message = "^clq_min_seps requires a connected graph$"
+        with pytest.raises(DisconnectedGraphError, match=message):
+            clq_min_seps(Graph(3, [(0, 1)]))

@@ -91,6 +91,29 @@ class TestIsTreeDecomposition:
         with pytest.raises(GraphError):
             is_tree_decomposition(g, _td(g, [{0, 1}, {1, 2}], [(0, 0)]))
 
+    @pytest.mark.parametrize(
+        "bags, edges, message",
+        [
+            ([], [], "tree decomposition has no bags"),
+            ([{0, 1}, {1, 2}, {2}], [(0, 1), (1, 0)], r"duplicate tree edge \(1, 0\)"),
+            # k - 1 edges, but they close a cycle and leave bag 3 out
+            ([{0, 1}, {1, 2}, {1}, {2}], [(0, 1), (1, 2), (0, 2)], "bag graph is not connected"),
+        ],
+    )
+    def test_malformed_tree_messages(self, bags, edges, message):
+        g = path_graph(3)
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            is_tree_decomposition(g, _td(g, bags, edges))
+
+    def test_uncovered_vertex(self):
+        g = Graph(3, [(0, 1)])
+        assert not is_tree_decomposition(g, _td(g, [{0, 1}], []))
+
+    def test_width(self):
+        g = cycle_graph(4)
+        assert _td(g, *C4_TD).width() == 2
+        assert _td(g, [{0, 1, 2, 3}], []).width() == 3
+
 
 class TestSaturateTd:
     def test_c4_two_triangles(self):
@@ -295,6 +318,11 @@ class TestEnumMaxSpanningTrees:
     def test_single_node(self):
         wg = WeightedCliqueGraph(nodes=(frozenset({0}),), edges=())
         assert list(enum_max_spanning_trees(wg)) == [()]
+
+    def test_no_nodes_raise(self):
+        wg = WeightedCliqueGraph(nodes=(), edges=())
+        with pytest.raises(GraphError, match="^clique graph has no nodes$"):
+            list(enum_max_spanning_trees(wg))
 
     def test_matches_brute_enumeration(self):
         rng = random.Random(21)

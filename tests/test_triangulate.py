@@ -866,6 +866,11 @@ class TestSeparatorGraphInstance:
         with pytest.raises(ValueError):
             separator_graph_instance(cycle_graph(4), extender="magic")
 
+    def test_disconnected_raises(self):
+        message = "^separator_graph_instance requires a connected graph$"
+        with pytest.raises(DisconnectedGraphError, match=message):
+            separator_graph_instance(Graph(3, [(0, 1)]))
+
 
 class TestEnumMinTriangulations:
     def test_c4(self):
@@ -1009,14 +1014,16 @@ class TestEnumMinTriangulations:
             graphs.append(adj)
             return from_masks(cls, adj)
 
-        monkeypatch.setattr(Graph, "_from_masks", classmethod(built))
         path = tmp_path / "c8.txt"
         path.write_text("".join(f"{u} {v}\n" for u, v in g.edges()))
+        parsed, _labels = cli.parse_graph(path.read_text(), "edgelist")
+        monkeypatch.setattr(Graph, "_from_masks", classmethod(built))
         for command, runs in (("stats", 0), ("triangulations", 132)):
             reads.clear()
             graphs.clear()
             assert cli.main([command, str(path), "--extender", extender]) == 0
-            assert (len(reads), graphs) == (runs, [])
+            # the one graph built is the parsed input; none is built per answer
+            assert (len(reads), [tuple(adj) for adj in graphs]) == (runs, [parsed._adj])
 
     def test_triangulation_value(self):
         g = cycle_graph(5)
