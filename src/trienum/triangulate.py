@@ -49,6 +49,10 @@ ParallelFamily = frozenset[Separator]
 # of H that the run read MinSep off, if it did; quoted, so that no typing
 # union is built at import
 Payload: TypeAlias = "tuple[int, list[int] | None]"
+# what min-fill's second phase made of each core, keyed by the core's
+# mask and its rows ANDed with it, packed into one int: the fill edges,
+# sorted, and the order the core's vertices went in
+Cores: TypeAlias = "dict[int, tuple[tuple[tuple[int, int], ...], tuple[int, ...]]]"
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -180,7 +184,9 @@ def saturate_family(g: Graph, phi: Iterable[Iterable[int]]) -> Graph:
     return Graph._from_masks(_saturated(g, (_check_subset(g, s) for s in phi)))
 
 
-def _minfill_masks(adj: list[int], n: int) -> tuple[list[tuple[int, int]], list[int]]:
+def _minfill_masks(
+    adj: list[int], n: int, cores: Cores | None = None
+) -> tuple[list[tuple[int, int]], list[int]]:
     """Min-fill elimination on adjacency masks, in place.
 
     Mutates ``adj`` into a chordal supergraph and returns the added
@@ -197,11 +203,53 @@ def _minfill_masks(adj: list[int], n: int) -> tuple[list[tuple[int, int]], list[
     elimination can remove, with no edge added. This is what min-fill
     does before its first step with positive fill, because it takes a
     fill-0 (simplicial) vertex whenever one exists, and any peeling
-    order removes the same set. A chordal graph is peeled empty.
+    order removes the same set. A chordal graph is peeled empty. Then
+    ``_eliminate`` runs min-fill on the core that is left.
 
-    The rest runs the min-fill loop on counts kept exact by update:
+    Given ``cores``, the second phase runs once per distinct core: it
+    reads only the core's rows ANDed with the core and adds only edges
+    inside it, so its fill and order are a function of the core's mask
+    and those rows, which the key packs. ``cores`` maps it to them, as
+    tuples that no caller can change; a core met again gets its fill
+    edges ORed in and its order appended, with nothing counted or
+    eliminated.
+    """
+    order, alive = _peel(adj, n)
+    if not alive:
+        return [], order
+    core = None
+    if cores is not None:
+        # the mask in bits 0..n-1, then each core row in the next n bits
+        key = alive
+        shift = n
+        for v in bits(alive):
+            key |= (adj[v] & alive) << shift
+            shift += n
+        core = cores.get(key)
+    if core is None:
+        added, tail = _eliminate(adj, n, alive)
+        if cores is not None:
+            cores[key] = tuple(added), tuple(tail)
+    else:
+        fill, tail = core
+        for u, w in fill:
+            adj[u] |= 1 << w
+            adj[w] |= 1 << u
+        added = list(fill)
+    order += tail
+    return added, order
+
+
+def _eliminate(
+    adj: list[int], n: int, alive: int
+) -> tuple[list[tuple[int, int]], list[int]]:
+    """Min-fill's second phase: eliminate the vertices of ``alive`` from
+    ``adj`` in place, smallest fill first, ties toward the smallest id.
+    Returns the added edges, sorted, and the order the vertices went.
+
+    Runs the min-fill loop on counts kept exact by update:
     ``deg[v]`` live neighbors and ``fills[v]`` missing pairs among them,
-    counted once after the peel. Eliminating x changes them in two ways.
+    counted once at the start. Eliminating x changes them in two ways.
     Each live neighbor u loses x, and with it the pairs {x, y} it was
     missing: the ``deg[u] - 1`` other live neighbors y less the ones
     adjacent to x. Each fill edge uw, added one at a time, gives u the
@@ -209,7 +257,7 @@ def _minfill_masks(adj: list[int], n: int) -> tuple[list[tuple[int, int]], list[
     likewise), and closes the pair {u, w} at every common live neighbor.
     No other vertex's live neighborhood or its edges change.
     """
-    order, alive = _peel(adj, n)
+    order: list[int] = []
     added: list[tuple[int, int]] = []
     deg = [0] * n
     fills = [0] * n
@@ -350,7 +398,10 @@ def is_minimal_triangulation(g: Graph, h: Graph) -> bool:
 
 
 def _extend_blackbox(
-    g: Graph, fam: Iterable[int], runs: deque[Payload] | None = None
+    g: Graph,
+    fam: Iterable[int],
+    runs: deque[Payload] | None = None,
+    cores: Cores | None = None,
 ) -> set[int]:
     """MinSep of the minimal triangulation H that min-fill and the
     sandwich step make of g with the family's masks saturated, as masks.
@@ -360,10 +411,11 @@ def _extend_blackbox(
     A dropped fill edge may have joined two later neighbors of a vertex,
     so then H is peeled again and its peeling order is walked instead; a
     result that is not chordal raises NotChordalError. Given ``runs``,
-    it appends H, packed, and the order it walked.
+    it appends H, packed, and the order it walked. Given ``cores``,
+    min-fill eliminates each distinct core once (see ``_minfill_masks``).
     """
     adj = _saturated(g, fam)
-    fill, order = _minfill_masks(adj, g.n)
+    fill, order = _minfill_masks(adj, g.n, cores)
     if len(_sandwich_masks(adj, fill)) < len(fill):
         order = _peeling_order(adj, g.n)
     if runs is not None:
@@ -482,13 +534,17 @@ def _choose_min_sep(adj: list[int], piece: int) -> int:
 
 
 def _extend_separator(
-    g: Graph, fam: Iterable[int], runs: deque[Payload] | None = None
+    g: Graph,
+    fam: Iterable[int],
+    runs: deque[Payload] | None = None,
+    cores: Cores | None = None,
 ) -> set[int]:
     """The boundaries of every split that ``_split_and_route`` makes of g
     along the family and then along ``_choose_min_sep``, as masks. Every
     split saturates a member of the result, so the graph it leaves is the
     result's triangulation; given ``runs``, it appends that graph, packed,
-    with no elimination order."""
+    with no elimination order. It eliminates nothing, so ``cores`` is
+    left as it is."""
     fam = list(fam)
     adj = list(g._adj)
     _, boundaries = _split_and_route(adj, fam, _choose_min_sep)
@@ -514,7 +570,7 @@ def extend_family_separator(g: Graph, phi: Iterable[Iterable[int]]) -> ParallelF
 
 
 _EXTENDER_IMPL: dict[
-    str, Callable[[Graph, Iterable[int], deque[Payload] | None], set[int]]
+    str, Callable[[Graph, Iterable[int], deque[Payload] | None, Cores], set[int]]
 ] = {
     "blackbox": _extend_blackbox,
     "separator": _extend_separator,
@@ -540,6 +596,12 @@ def separator_graph_instance(g: Graph, extender: str = "blackbox") -> ImplicitGr
     triangulation whose MinSep the run returned, which is g with the
     result saturated (Parra & Scheffler 1997), and, from the blackbox
     extender, the perfect elimination ordering it read MinSep off.
+
+    The instance also keeps what min-fill's second phase made of each
+    distinct core that the blackbox extender's runs peeled to, so that
+    no core is eliminated twice (see ``_minfill_masks``). That result is
+    a function of the core, so the answers do not change; the store
+    holds at most one entry per run, a few ints per core vertex.
     """
     if extender not in _EXTENDER_IMPL:
         raise ValueError(f"unknown extender {extender!r}; expected one of {EXTENDERS}")
@@ -550,6 +612,7 @@ def separator_graph_instance(g: Graph, extender: str = "blackbox") -> ImplicitGr
     objects: dict[int, Separator] = {}
     # the slot a reader of the payloads puts its FIFO in
     sink: list[deque[Payload] | None] = [None]
+    cores: Cores = {}
 
     def mask(s: Separator) -> int:
         m = masks.get(s)
@@ -569,7 +632,7 @@ def separator_graph_instance(g: Graph, extender: str = "blackbox") -> ImplicitGr
         node_stream=lambda: (objects[mask(s)] for s in enum_min_seps(g)),
         adjacent=lambda s, t: crosses(g, s, t),
         extend_to_max_ind=lambda fam: frozenset(
-            map(separator, extend(g, map(mask, fam), sink[0]))
+            map(separator, extend(g, map(mask, fam), sink[0], cores))
         ),
         payloads=sink,
     )

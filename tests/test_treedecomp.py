@@ -615,9 +615,9 @@ class TestEachAnswerFromItsExtenderRun:
         for name in ("_extend_blackbox", "_extend_separator"):
             extend = getattr(triangulate, name)
 
-            def spy(g, fam, runs=None, extend=extend):
+            def spy(g, fam, runs=None, *rest, extend=extend):
                 appended.append(runs)
-                return extend(g, fam, runs)
+                return extend(g, fam, runs, *rest)
 
             monkeypatch.setitem(triangulate._EXTENDER_IMPL, name.removeprefix("_extend_"), spy)
         inst = triangulate.separator_graph_instance(cycle_graph(9), extender)

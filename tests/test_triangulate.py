@@ -20,6 +20,7 @@ from trienum import (
     enum_max_independent,
     enum_min_seps,
     enum_min_triangulations,
+    enum_proper_tds,
     extend_family_blackbox,
     extend_family_separator,
     extract_min_seps_chordal,
@@ -233,6 +234,36 @@ def _assert_minfill_matches_rescan(adj, n):
     assert ours == ref
 
 
+# one core store for every example below, as one enumeration keeps one
+# for all its extender runs
+SHARED_CORES = {}
+
+
+def _assert_stored_cores_change_nothing(adj, n):
+    """Min-fill through ``SHARED_CORES``, twice, so that the second run
+    takes the stored core, gives what it gives without a store and what
+    the plain rescan gives; a run that takes a stored core changes no
+    entry, and a caller that changes what a run returned changes none."""
+    plain, ref = list(adj), list(adj)
+    want = _minfill_masks(plain, n)
+    assert want[0] == rescan_minfill_masks(ref, n)
+    assert plain == ref
+    for _ in range(2):
+        before = dict(SHARED_CORES)
+        ours = list(adj)
+        got = _minfill_masks(ours, n, SHARED_CORES)
+        assert got == want
+        assert type(got[0]) is list and type(got[1]) is list
+        assert ours == plain
+        values = [tuple(map(tuple, entry)) for entry in SHARED_CORES.values()]
+        got[0].append((n, n))
+        got[1].append(n)
+        assert [tuple(map(tuple, entry)) for entry in SHARED_CORES.values()] == values
+    # the second run found its core stored, if the peel left one
+    assert SHARED_CORES.keys() == before.keys()
+    assert all(SHARED_CORES[k] is entry for k, entry in before.items())
+
+
 class TestSaturateFamily:
     def test_c4_one_diagonal(self):
         g = saturate_family(cycle_graph(4), _family({0, 2}))
@@ -350,14 +381,76 @@ class TestMinfillMasks:
         calls = _first_seen_bases(g, answers)
         assert len(calls) > answers
         # (added, order) of every call, pinned so that neither the
-        # tie-break nor the peeled prefix drifts while the fill matches
-        h = hashlib.sha256()
-        for fam, _ in calls:
-            adj = _saturated(g, map(mask_of, fam))
-            _assert_minfill_matches_rescan(adj, g.n)
-            h.update(repr(_minfill_masks(adj, g.n)).encode())
-            h.update(b"\n")
-        assert h.hexdigest() == digest
+        # tie-break nor the peeled prefix drifts while the fill matches;
+        # the second pass feeds the same calls through one core store,
+        # so a core met again takes the stored result
+        cores = {}
+        for store in (None, cores):
+            h = hashlib.sha256()
+            cored = 0
+            for fam, _ in calls:
+                adj = _saturated(g, map(mask_of, fam))
+                if store is None:
+                    _assert_minfill_matches_rescan(adj, g.n)
+                cored += _peel(adj, g.n)[1] != 0
+                h.update(repr(_minfill_masks(adj, g.n, store)).encode())
+                h.update(b"\n")
+            assert h.hexdigest() == digest
+        assert 0 < len(cores) < cored
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph_masks())
+    @example(C12)
+    @example(GRID_3X4)
+    @example(K34)
+    @example(PETERSEN)
+    def test_a_stored_core_gives_the_same_fill_order_and_masks(self, graph):
+        n, adj = graph
+        _assert_stored_cores_change_nothing(adj, n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=4, max_value=12), st.randoms(use_true_random=False))
+    def test_a_stored_core_on_saturated_families(self, n, rng):
+        g = random_connected_graph(n, 0.3, rng)
+        adj = _saturated(g, map(mask_of, _random_family(g, rng)))
+        _assert_stored_cores_change_nothing(adj, n)
+
+
+class TestOneEliminationPerCore:
+    """An enumeration eliminates each distinct min-fill core once: its
+    instance keeps what the second phase made of every core it met."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"runs": 0, "cored": 0, "eliminated": 0}
+        distinct = set()
+        peel, eliminate = triangulate._peel, triangulate._eliminate
+
+        def counted_peel(adj, n):
+            order, alive = peel(adj, n)
+            counts["runs"] += 1
+            if alive:
+                counts["cored"] += 1
+                distinct.add((alive, *(adj[v] & alive for v in bits(alive))))
+            return order, alive
+
+        def counted_eliminate(adj, n, alive):
+            counts["eliminated"] += 1
+            return eliminate(adj, n, alive)
+
+        monkeypatch.setattr(triangulate, "_peel", counted_peel)
+        monkeypatch.setattr(triangulate, "_eliminate", counted_eliminate)
+        yield counts
+        assert counts["eliminated"] == len(distinct)
+
+    def test_c11(self, counts):
+        assert sum(1 for _ in enum_min_triangulations(cycle_graph(11))) == 4862
+        assert counts == {"runs": 4862, "cored": 2985, "eliminated": 196}
+
+    def test_ladder(self, counts):
+        assert sum(1 for _ in enum_proper_tds(ladder_graph(12))) == 2048
+        assert counts["runs"] == 2048
+        assert counts["eliminated"] <= 1
 
 
 class TestPeel:
