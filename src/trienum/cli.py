@@ -35,7 +35,7 @@ import sys
 from itertools import compress
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, NoReturn
 
-from .graph import Graph, GraphError, bits, connected_components, induced_subgraph, mask_of
+from .graph import Graph, GraphError, _Table, bits, connected_components, induced_subgraph, mask_of
 from .io import FORMATS, ParseError, parse_graph
 from .maxind import EnumStats
 from .separators import _meets_two, _sides, enum_min_seps
@@ -73,19 +73,10 @@ def _percentile(ordered: list[float], q: float) -> float:
     return ordered[pos]
 
 
-class _Texts(dict):
-    """A fragment table: the text of each key, made by ``fmt`` on its
-    first lookup and then kept. A table lives for one component's run,
-    so it holds one text per distinct fragment of that run (a bag or a
-    tree edge), however many answers repeat it."""
-
-    def __init__(self, fmt: Callable[[Any], str]) -> None:
-        super().__init__()
-        self.fmt = fmt
-
-    def __missing__(self, key: Any) -> str:
-        text = self[key] = self.fmt(key)
-        return text
+# A fragment table lives for one component's run, so it holds one text
+# per distinct fragment of that run (a bag or a tree edge), however many
+# answers repeat it.
+_Texts = _Table
 
 
 def _set_text(orig: Ids, output: str) -> Callable[[Iterable[int]], str]:

@@ -5,12 +5,14 @@ set algebra used by the enumeration machinery cheap even in pure
 Python. Public functions accept and return ``frozenset`` vertex sets;
 the mask layer is package-internal.
 The module ends at the chordal read-off (maximal cliques and minimal
-separators); clique graphs and clique trees live in `treedecomp`.
+separators); clique graphs and clique trees live in `treedecomp`. It
+also holds ``_Table``, the one memo type of the package's per-run
+tables.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 VertexSet = frozenset[int]
 
@@ -25,6 +27,20 @@ class NotChordalError(GraphError):
 
 class DisconnectedGraphError(GraphError):
     """An operation requiring a connected graph got a disconnected one."""
+
+
+class _Table(dict):
+    """A table that lives for one run: the value of each key, made by
+    ``fmt`` on its first lookup and then kept, so it holds one value per
+    distinct key the run met, however many lookups repeat it."""
+
+    def __init__(self, fmt: Callable[[Any], Any]) -> None:
+        super().__init__()
+        self.fmt = fmt
+
+    def __missing__(self, key: Any) -> Any:
+        value = self[key] = self.fmt(key)
+        return value
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -320,15 +336,21 @@ def is_chordal(g: Graph) -> bool:
     return not _peel(g._adj, g.n)[1]
 
 
-def _sorted_cliques(cliques: Iterable[int], n: int) -> list[int]:
-    """Maximal cliques of a graph on n vertices in canonical order."""
+def _clique_keys(n: int) -> _Table:
+    """A table of the sort keys of cliques of a graph on n vertices: the
+    mask's bits as text, lowest vertex first."""
+    width = f"0{n}b"
+    return _Table(lambda m: format(m, width)[::-1])
+
+
+def _sorted_cliques(cliques: Iterable[int], keys: _Table) -> list[int]:
+    """Maximal cliques in canonical order, by their ``_clique_keys``."""
     # by sorted vertex tuples: maximal cliques are never nested, so that
     # is by bit-reversed masks, descending
-    width = f"0{n}b"
-    return sorted(cliques, key=lambda m: format(m, width)[::-1], reverse=True)
+    return sorted(cliques, key=keys.__getitem__, reverse=True)
 
 
 def max_cliques_chordal(h: Graph) -> list[VertexSet]:
     """All maximal cliques of a chordal graph, canonically ordered."""
     cliques = _chordal_read_off(h._adj, h.n)[0]
-    return [vertex_set(m) for m in _sorted_cliques(cliques, h.n)]
+    return [vertex_set(m) for m in _sorted_cliques(cliques, _clique_keys(h.n))]

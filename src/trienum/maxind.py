@@ -130,12 +130,13 @@ def enum_max_independent(
 
     def extend(imask: int) -> None:
         # no found answer holds I: extend it, and the result is new
-        result = inst.extend_to_max_ind(
-            frozenset(nodes[i] for i in bits(imask))
-        )
+        result = inst.extend_to_max_ind(frozenset(map(nodes.__getitem__, bits(imask))))
+        idxs = list(map(key_to_idx.get, result))
+        if None in idxs:
+            idxs = list(map(intern, result))
         kmask = 0
-        for node in result:
-            kmask |= 1 << intern(node)
+        for i in idxs:
+            kmask |= 1 << i
         if kmask & imask != imask:
             raise ImplicitGraphError("extend_to_max_ind dropped part of its input")
         if check_invariants and any(f & kmask == kmask for f in found):

@@ -29,6 +29,8 @@ from .graph import (
     Graph,
     GraphError,
     VertexSet,
+    _Table,
+    _clique_keys,
     _component,
     _peeling_order,
     _peo_read_off,
@@ -40,7 +42,7 @@ from .graph import (
     vertex_set,
 )
 from .maxind import EnumStats, EventHook
-from .triangulate import _found_triangulations, _saturated, _unpacked, is_minimal_triangulation
+from .triangulate import _found_triangulations, _unpacked, is_minimal_triangulation, saturate_family
 
 # Not called here: the benchmark's tracer times the triangulation layer
 # by rebinding this name in this module and in `cli`, so it stays
@@ -134,7 +136,7 @@ def saturate_td(g: Graph, d: TreeDecomposition) -> Graph:
     """Saturate every bag of d in g; the result is a triangulation of g."""
     if not is_tree_decomposition(g, d):
         raise GraphError("not a tree decomposition of the given graph")
-    return Graph._from_masks(_saturated(g, map(mask_of, d.bags)))
+    return saturate_family(g, d.bags)
 
 
 def subsumes(d1: TreeDecomposition, d2: TreeDecomposition) -> bool:
@@ -160,7 +162,8 @@ def is_proper(g: Graph, d: TreeDecomposition) -> bool:
 def _clique_graph(
     adj: Sequence[int],
     n: int,
-    bags: dict[int, VertexSet],
+    bags: _Table,
+    keys: _Table,
     order: list[int] | None = None,
 ) -> WeightedCliqueGraph:
     """The reduced clique graph of the connected chordal graph on ``adj``.
@@ -175,13 +178,14 @@ def _clique_graph(
     lie in two full components of H - S and are the one pair. Otherwise
     each holder's side of H - S is found with one walk, and it is paired
     with the holders outside that side; two cliques that S separates
-    meet in S. ``bags`` maps clique masks to the node frozensets, so a
-    caller that keeps it across calls builds each bag once.
+    meet in S. ``bags`` maps clique masks to the node frozensets and
+    ``keys`` to their ``_clique_keys`` sort keys, so a caller that keeps
+    them across calls builds each bag and its key once.
     """
     if order is None:
         order = _peeling_order(adj, n)
     cliques, seps = _peo_read_off(adj, order)
-    masks = _sorted_cliques(cliques, n)
+    masks = _sorted_cliques(cliques, keys)
     holding = [0] * n  # bit i of holding[v]: clique i holds v
     for i, m in enumerate(masks):
         c = 1 << i
@@ -207,8 +211,7 @@ def _clique_graph(
             side = _component(adj, rest, masks[i] & ~s)[0]
             edges += [(i, j, w) for j in holders[x + 1 :] if not masks[j] & side]
     edges.sort()
-    nodes = tuple(bags.get(m) or bags.setdefault(m, vertex_set(m)) for m in masks)
-    return WeightedCliqueGraph(nodes, tuple(edges))
+    return WeightedCliqueGraph(tuple(map(bags.__getitem__, masks)), tuple(edges))
 
 
 def clique_graph(h: Graph) -> WeightedCliqueGraph:
@@ -225,7 +228,7 @@ def clique_graph(h: Graph) -> WeightedCliqueGraph:
     """
     if not is_connected(h):
         raise DisconnectedGraphError("clique_graph requires a connected graph")
-    return _clique_graph(h._adj, h.n, {})
+    return _clique_graph(h._adj, h.n, _Table(vertex_set), _clique_keys(h.n))
 
 
 def clique_tree(h: Graph) -> CliqueTree:
@@ -434,10 +437,12 @@ def enum_proper_tds(
     into adjacency masks, and is read off into its reduced clique graph
     along the run's elimination order, or along a peel when the run has
     none.
-    Each distinct bag is one frozenset for the whole run.
+    Each distinct bag is one frozenset, with one sort key, for the whole
+    run.
     """
-    bags: dict[int, VertexSet] = {}
+    bags = _Table(vertex_set)
+    keys = _clique_keys(g.n)
     for _family, h, order in _found_triangulations(g, extender, stats, hook):
-        wg = _clique_graph(_unpacked(h, g.n), g.n, bags, order)
+        wg = _clique_graph(_unpacked(h, g.n), g.n, bags, keys, order)
         for edges in enum_max_spanning_trees(wg):
             yield TreeDecomposition(host=g, bags=wg.nodes, edges=edges)

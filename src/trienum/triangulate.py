@@ -11,14 +11,16 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
+from operator import or_
 from typing import Callable, Iterable, Iterator, Sequence, TypeAlias
 
 from .graph import (
     DisconnectedGraphError,
     Graph,
     GraphError,
+    _Table,
     _check_subset,
     _component,
     _components_masks,
@@ -44,10 +46,10 @@ from .separators import (
 )
 
 ParallelFamily = frozenset[Separator]
-# an extender run's minimal triangulation H, packed by ``_packed`` since
-# many runs' payloads wait at once, and the perfect elimination ordering
-# of H that the run read MinSep off, if it did; quoted, so that no typing
-# union is built at import
+# an extender run's minimal triangulation H, packed as ``_packed`` packs
+# rows, since many runs' payloads wait at once, and the perfect
+# elimination ordering of H that the run read MinSep off, if it did;
+# quoted, so that no typing union is built at import
 Payload: TypeAlias = "tuple[int, list[int] | None]"
 # what min-fill's second phase made of each core, keyed by the core's
 # mask and its rows ANDed with it, packed into one int: the fill edges,
@@ -139,14 +141,6 @@ def _check_family(g: Graph, phi: Iterable[Iterable[int]]) -> list[int]:
     return masks
 
 
-def _saturated(g: Graph, masks: Iterable[int]) -> list[int]:
-    """The adjacency masks of g with every one of the sets saturated."""
-    adj = list(g._adj)
-    for m in masks:
-        _saturate(adj, m)
-    return adj
-
-
 def _packed(adj: list[int]) -> int:
     """The adjacency masks of a graph on n vertices as one int: row v at
     bits v*n to v*n + n - 1. ``_unpacked`` reads them back."""
@@ -178,10 +172,36 @@ def _pairs(packed: int, n: int) -> list[tuple[int, int]]:
     return [divmod(p, n) for p in bits(packed)]
 
 
+def _clique(m: int, n: int) -> int:
+    """The clique on the vertices of m in a graph on n vertices, packed
+    as ``_packed`` packs rows: row v holds ``m ^ 1 << v`` for v in m."""
+    h = 0
+    rest = m
+    while rest:
+        b = rest & -rest
+        h |= (m ^ b) << (b.bit_length() - 1) * n
+        rest ^= b
+    return h
+
+
+def _clique_table(n: int) -> _Table:
+    """A table from each vertex mask of a graph on n vertices to its
+    packed clique, made on first lookup: one n*n-bit int per mask."""
+    return _Table(lambda m: _clique(m, n))
+
+
+def _saturation(base: int, masks: Iterable[int], cliques: _Table) -> int:
+    """The graph packed as ``base`` with the vertices of every mask made
+    a clique, packed: one C-level OR over the masks' cliques."""
+    return reduce(or_, map(cliques.__getitem__, masks), base)
+
+
 def saturate_family(g: Graph, phi: Iterable[Iterable[int]]) -> Graph:
     """Saturate every separator of the family in g. Only the members'
     vertex ranges are checked."""
-    return Graph._from_masks(_saturated(g, (_check_subset(g, s) for s in phi)))
+    masks = (_check_subset(g, s) for s in phi)
+    h = _saturation(_packed(g._adj), masks, _clique_table(g.n))
+    return Graph._from_masks(_unpacked(h, g.n))
 
 
 def _minfill_masks(
@@ -402,24 +422,39 @@ def _extend_blackbox(
     fam: Iterable[int],
     runs: deque[Payload] | None = None,
     cores: Cores | None = None,
+    cliques: _Table | None = None,
+    base: int | None = None,
 ) -> set[int]:
     """MinSep of the minimal triangulation H that min-fill and the
     sandwich step make of g with the family's masks saturated, as masks.
 
-    When the sandwich step keeps every fill edge, H is min-fill's result
-    and its elimination order is perfect, so ``_peo_read_off`` walks it.
-    A dropped fill edge may have joined two later neighbors of a vertex,
-    so then H is peeled again and its peeling order is walked instead; a
-    result that is not chordal raises NotChordalError. Given ``runs``,
-    it appends H, packed, and the order it walked. Given ``cores``,
-    min-fill eliminates each distinct core once (see ``_minfill_masks``).
+    g is saturated packed: ``base``, g packed, ORed with each member's
+    packed clique from ``cliques``; either one not given is made for
+    this call. When the sandwich step keeps every fill edge, H is
+    min-fill's result and its elimination order is perfect, so
+    ``_peo_read_off`` walks it. A dropped fill edge may have joined two
+    later neighbors of a vertex, so then H is peeled again and its
+    peeling order is walked instead; a result that is not chordal raises
+    NotChordalError. Given ``runs``, it appends H, packed, and the order
+    it walked: H is the saturated g plus the fill edges the sandwich
+    step kept, so only those are packed. Given ``cores``, min-fill
+    eliminates each distinct core once (see ``_minfill_masks``).
     """
-    adj = _saturated(g, fam)
-    fill, order = _minfill_masks(adj, g.n, cores)
-    if len(_sandwich_masks(adj, fill)) < len(fill):
-        order = _peeling_order(adj, g.n)
+    n = g.n
+    if cliques is None:
+        cliques = _clique_table(n)
+    if base is None:
+        base = _packed(g._adj)
+    h = _saturation(base, fam, cliques)
+    adj = _unpacked(h, n)
+    fill, order = _minfill_masks(adj, n, cores)
+    kept = _sandwich_masks(adj, fill)
+    if len(kept) < len(fill):
+        order = _peeling_order(adj, n)
     if runs is not None:
-        runs.append((_packed(adj), order))
+        for u, w in kept:
+            h |= 1 << u * n + w | 1 << w * n + u
+        runs.append((h, order))
     return _peo_read_off(adj, order)[1]
 
 
@@ -538,13 +573,15 @@ def _extend_separator(
     fam: Iterable[int],
     runs: deque[Payload] | None = None,
     cores: Cores | None = None,
+    cliques: _Table | None = None,
+    base: int | None = None,
 ) -> set[int]:
     """The boundaries of every split that ``_split_and_route`` makes of g
     along the family and then along ``_choose_min_sep``, as masks. Every
     split saturates a member of the result, so the graph it leaves is the
     result's triangulation; given ``runs``, it appends that graph, packed,
-    with no elimination order. It eliminates nothing, so ``cores`` is
-    left as it is."""
+    with no elimination order. It eliminates nothing and saturates in
+    place, so ``cores``, ``cliques`` and ``base`` are left as they are."""
     fam = list(fam)
     adj = list(g._adj)
     _, boundaries = _split_and_route(adj, fam, _choose_min_sep)
@@ -570,7 +607,8 @@ def extend_family_separator(g: Graph, phi: Iterable[Iterable[int]]) -> ParallelF
 
 
 _EXTENDER_IMPL: dict[
-    str, Callable[[Graph, Iterable[int], deque[Payload] | None, Cores], set[int]]
+    str,
+    Callable[[Graph, Iterable[int], deque[Payload] | None, Cores, _Table, int], set[int]],
 ] = {
     "blackbox": _extend_blackbox,
     "separator": _extend_separator,
@@ -601,7 +639,9 @@ def separator_graph_instance(g: Graph, extender: str = "blackbox") -> ImplicitGr
     distinct core that the blackbox extender's runs peeled to, so that
     no core is eliminated twice (see ``_minfill_masks``). That result is
     a function of the core, so the answers do not change; the store
-    holds at most one entry per run, a few ints per core vertex.
+    holds at most one entry per run, a few ints per core vertex. And it
+    keeps g packed and each separator's packed clique, made on the first
+    run that saturates it: one n*n-bit int per distinct separator met.
     """
     if extender not in _EXTENDER_IMPL:
         raise ValueError(f"unknown extender {extender!r}; expected one of {EXTENDERS}")
@@ -613,6 +653,8 @@ def separator_graph_instance(g: Graph, extender: str = "blackbox") -> ImplicitGr
     # the slot a reader of the payloads puts its FIFO in
     sink: list[deque[Payload] | None] = [None]
     cores: Cores = {}
+    cliques = _clique_table(g.n)
+    base = _packed(g._adj)
 
     def mask(s: Separator) -> int:
         m = masks.get(s)
@@ -628,12 +670,21 @@ def separator_graph_instance(g: Graph, extender: str = "blackbox") -> ImplicitGr
             masks[s] = m
         return s
 
+    def extend_to_max_ind(fam: ParallelFamily) -> ParallelFamily:
+        ms = list(map(masks.get, fam))
+        if None in ms:
+            # a member the instance never met, from a caller
+            ms = list(map(mask, fam))
+        found = extend(g, ms, sink[0], cores, cliques, base)
+        seps = frozenset(map(objects.get, found))
+        if None in seps:
+            seps = frozenset(map(separator, found))
+        return seps
+
     return ImplicitGraph(
         node_stream=lambda: (objects[mask(s)] for s in enum_min_seps(g)),
         adjacent=lambda s, t: crosses(g, s, t),
-        extend_to_max_ind=lambda fam: frozenset(
-            map(separator, extend(g, map(mask, fam), sink[0], cores))
-        ),
+        extend_to_max_ind=extend_to_max_ind,
         payloads=sink,
     )
 

@@ -243,6 +243,23 @@ class TestCliqueGraph:
             )
         assert shared >= 50
 
+    def test_one_shared_key_table_as_fresh_ones(self):
+        # one bag table and one key table for every triangulation of a
+        # graph, as `enum_proper_tds` keeps them, change no clique graph
+        rng = random.Random(28)
+        for g in [ladder_graph(5), cycle_graph(7)] + [
+            random_connected_graph(rng.randint(3, 10), 0.3, rng) for _ in range(6)
+        ]:
+            bags, keys = graph._Table(graph.vertex_set), graph._clique_keys(g.n)
+            for t in enum_min_triangulations(g):
+                h = t.chordal_graph
+                fresh = treedecomp._clique_graph(
+                    h._adj, h.n, graph._Table(graph.vertex_set), graph._clique_keys(h.n)
+                )
+                assert treedecomp._clique_graph(h._adj, h.n, bags, keys) == fresh
+                assert fresh == clique_graph(h)
+            assert keys and all(key == format(m, f"0{g.n}b")[::-1] for m, key in keys.items())
+
     def test_non_chordal_raises(self):
         with pytest.raises(NotChordalError):
             clique_graph(cycle_graph(4))
@@ -565,8 +582,9 @@ class TestEachAnswerFromItsExtenderRun:
         peel = counted("peel", graph._peel)
         for module in (graph, triangulate):
             monkeypatch.setattr(module, "_peel", peel)
-        for module in (triangulate, treedecomp):
-            monkeypatch.setattr(module, "_saturated", counted("saturated", triangulate._saturated))
+        # the one saturation, packed, of the extender and the public calls
+        saturation = counted("saturation", triangulate._saturation)
+        monkeypatch.setattr(triangulate, "_saturation", saturation)
         sandwich = triangulate._sandwich_masks
 
         def fallback_counted(adj, fill):
@@ -603,7 +621,7 @@ class TestEachAnswerFromItsExtenderRun:
         assert counts["run"] == len(waiting)
         assert counts["fallback"] == fallbacks
         assert counts["peel"] == counts["run"] + counts["fallback"]
-        assert counts["saturated"] == counts["run"]
+        assert counts["saturation"] == counts["run"]
         assert all(held == unprinted for held, unprinted in waiting)
         assert max(held for held, _ in waiting) > 1
         assert not instances[0].payloads[0]

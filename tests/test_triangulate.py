@@ -35,7 +35,7 @@ from trienum import (
     separator_graph_instance,
     triangulate_heuristic,
 )
-from trienum import cli, triangulate
+from trienum import cli, treedecomp, triangulate
 from trienum.graph import (
     _chordal_read_off,
     _peel,
@@ -46,13 +46,15 @@ from trienum.graph import (
     vertex_set,
 )
 from trienum.triangulate import (
+    _clique,
+    _clique_table,
     _extend_blackbox,
     _minfill_masks,
     _nonedges,
     _packed,
     _pairs,
     _sandwich_masks,
-    _saturated,
+    _saturation,
 )
 
 from conftest import (
@@ -95,6 +97,15 @@ def _public_pipeline(g, phi):
     g_phi = saturate_family(g, phi)
     h = min_tri_sandwich(g_phi, triangulate_heuristic(g_phi))
     return frozenset(extract_min_seps_chordal(h))
+
+
+def _rowwise_saturated(g, masks):
+    """The rows of g with the vertices of every mask made a clique, one
+    row at a time."""
+    adj = list(g._adj)
+    for m in masks:
+        _saturate(adj, m)
+    return adj
 
 
 def _is_peo(adj, order):
@@ -296,6 +307,33 @@ class TestSaturateFamily:
         assert adj == naive
 
 
+class TestPackedSaturation:
+    """G packed, ORed with the members' packed cliques, is G with the
+    members saturated row by row."""
+
+    # one clique table per vertex count for every example below, as one
+    # enumeration keeps one for all its extender runs
+    TABLES = {}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=1, max_value=14), st.randoms(use_true_random=False))
+    def test_equals_the_row_by_row_saturation(self, n, rng):
+        g = random_connected_graph(n, rng.choice([0.2, 0.3, 0.5]), rng)
+        masks = list(map(mask_of, _random_family(g, rng)))
+        masks += [mask_of(v for v in range(n) if rng.random() < 0.4) for _ in range(2)]
+        table = self.TABLES.setdefault(n, _clique_table(n))
+        for fam in (masks, masks[:1], []):
+            got = _saturation(_packed(g._adj), fam, table)
+            assert got == _packed(_rowwise_saturated(g, fam))
+        for m in masks:
+            assert table[m] == _clique(m, n) == _packed(_rowwise_saturated(Graph(n), [m]))
+
+    def test_a_clique_row_holds_the_rest_of_the_clique(self):
+        # rows 1, 3 and 4 of a graph on 5 vertices, at bits 5, 15 and 20
+        assert _clique(0b11010, 5) == 0b11000 << 5 | 0b10010 << 15 | 0b01010 << 20
+        assert _clique(0b100, 5) == 0
+
+
 class TestTriangulateHeuristic:
     def test_chordal_unchanged(self):
         rng = random.Random(12)
@@ -389,7 +427,7 @@ class TestMinfillMasks:
             h = hashlib.sha256()
             cored = 0
             for fam, _ in calls:
-                adj = _saturated(g, map(mask_of, fam))
+                adj = _rowwise_saturated(g, map(mask_of, fam))
                 if store is None:
                     _assert_minfill_matches_rescan(adj, g.n)
                 cored += _peel(adj, g.n)[1] != 0
@@ -412,7 +450,7 @@ class TestMinfillMasks:
     @given(st.integers(min_value=4, max_value=12), st.randoms(use_true_random=False))
     def test_a_stored_core_on_saturated_families(self, n, rng):
         g = random_connected_graph(n, 0.3, rng)
-        adj = _saturated(g, map(mask_of, _random_family(g, rng)))
+        adj = _rowwise_saturated(g, map(mask_of, _random_family(g, rng)))
         _assert_stored_cores_change_nothing(adj, n)
 
 
@@ -451,6 +489,47 @@ class TestOneEliminationPerCore:
         assert sum(1 for _ in enum_proper_tds(ladder_graph(12))) == 2048
         assert counts["runs"] == 2048
         assert counts["eliminated"] <= 1
+
+
+class TestOneEntryPerSeparatorAndBag:
+    """An enumeration makes each separator's packed clique once, and
+    ``enum_proper_tds`` each bag's sort key once."""
+
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        made = {"cliques": [], "keys": []}
+        make_cliques, make_keys = triangulate._clique_table, treedecomp._clique_keys
+
+        def clique_table(n):
+            made["cliques"].append(make_cliques(n))
+            return made["cliques"][-1]
+
+        def clique_keys(n):
+            made["keys"].append(make_keys(n))
+            return made["keys"][-1]
+
+        monkeypatch.setattr(triangulate, "_clique_table", clique_table)
+        monkeypatch.setattr(treedecomp, "_clique_keys", clique_keys)
+        return made
+
+    def test_c11(self, tables):
+        g = cycle_graph(11)
+        assert sum(1 for _ in enum_min_triangulations(g)) == 4862
+        (cliques,) = tables["cliques"]
+        assert len(cliques) == 44 and not tables["keys"]
+        # each minimal separator of C11, one non-adjacent pair, met once
+        assert set(cliques) == set(map(mask_of, enum_min_seps(g)))
+        assert all(h == _clique(m, 11) for m, h in cliques.items())
+
+    def test_ladder(self, tables):
+        g = ladder_graph(12)
+        tds = list(enum_proper_tds(g))
+        assert len(tds) == 2048
+        (cliques,) = tables["cliques"]
+        (keys,) = tables["keys"]
+        assert (len(cliques), len(keys)) == (32, 44)
+        assert set(keys) == set(map(mask_of, set().union(*(d.bags for d in tds))))
+        assert all(key == format(m, "024b")[::-1] for m, key in keys.items())
 
 
 class TestPeel:
@@ -954,6 +1033,38 @@ class TestSeparatorGraphInstance:
             for s in answer:
                 assert stream[s] is s
         assert answers > 1
+
+    @pytest.mark.parametrize(
+        "g, sep, blackbox, separator",
+        [
+            (
+                cycle_graph(8),
+                {1, 5},
+                [[1, 3], [1, 4], [1, 5], [1, 7], [5, 7]],
+                [[1, 5], [1, 7], [2, 5], [3, 5], [5, 7]],
+            ),
+            (
+                ladder_graph(5),
+                {2, 7},
+                [[1, 5], [1, 6], [2, 6], [2, 7], [3, 7], [3, 8], [4, 8]],
+                [[1, 5], [1, 6], [2, 6], [2, 7], [3, 7], [3, 8], [4, 8]],
+            ),
+        ],
+        ids=["c8", "ladder5"],
+    )
+    def test_a_separator_never_streamed(self, g, sep, blackbox, separator):
+        # a caller's own member, which the instance has not met, is
+        # extended as the one-shot extenders extend it
+        for extender, want in (("blackbox", blackbox), ("separator", separator)):
+            inst = separator_graph_instance(g, extender)
+            got = inst.extend_to_max_ind(frozenset({frozenset(sep)}))
+            assert sorted(map(sorted, got)) == want
+            one_shot = dict(zip(("blackbox", "separator"), EXTENDERS))[extender]
+            assert got == one_shot(g, [sep])
+            # and the instance has met them since: the stream gives
+            # the same objects
+            stream = {s: s for s in inst.node_stream()}
+            assert all(stream[s] is s for s in got)
 
     def test_unknown_extender_rejected(self):
         with pytest.raises(ValueError):
