@@ -73,12 +73,6 @@ def _percentile(ordered: list[float], q: float) -> float:
     return ordered[pos]
 
 
-# A fragment table lives for one component's run, so it holds one text
-# per distinct fragment of that run (a bag or a tree edge), however many
-# answers repeat it.
-_Texts = _Table
-
-
 def _set_text(orig: Ids, output: str) -> Callable[[Iterable[int]], str]:
     """The text of a vertex set, in input ids, joined from its members'
     texts: ``[a, b]`` in JSONL, ``a b`` in plain and dot. ``orig``
@@ -145,9 +139,9 @@ def _treedecomps(
     sub: Graph, orig: Ids, cid: int | None, args: argparse.Namespace
 ) -> Iterator[str]:
     # each distinct bag is one frozenset for the whole run
-    bags = _Texts(_set_text(orig, args.output))
+    bags = _Table(_set_text(orig, args.output))
     edge = "[{}, {}]" if args.output == "jsonl" else "{}-{}"
-    edges = _Texts(lambda e: edge.format(*e))
+    edges = _Table(lambda e: edge.format(*e))
     for k, d in enumerate(enum_proper_tds(sub, extender=args.extender)):
         rows = map(bags.__getitem__, d.bags)
         if args.output == "dot":

@@ -55,6 +55,9 @@ Payload: TypeAlias = "tuple[int, list[int] | None]"
 # mask and its rows ANDed with it, packed into one int: the fill edges,
 # sorted, and the order the core's vertices went in
 Cores: TypeAlias = "dict[int, tuple[tuple[tuple[int, int], ...], tuple[int, ...]]]"
+# an extender of one graph: a family's masks, and the FIFO that gets the
+# run's payload or None, to the masks of a maximal family that holds it
+Extend: TypeAlias = "Callable[[Iterable[int], deque[Payload] | None], set[int]]"
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -205,7 +208,7 @@ def saturate_family(g: Graph, phi: Iterable[Iterable[int]]) -> Graph:
 
 
 def _minfill_masks(
-    adj: list[int], n: int, cores: Cores | None = None
+    adj: list[int], n: int, cores: Cores
 ) -> tuple[list[tuple[int, int]], list[int]]:
     """Min-fill elimination on adjacency masks, in place.
 
@@ -226,30 +229,27 @@ def _minfill_masks(
     order removes the same set. A chordal graph is peeled empty. Then
     ``_eliminate`` runs min-fill on the core that is left.
 
-    Given ``cores``, the second phase runs once per distinct core: it
-    reads only the core's rows ANDed with the core and adds only edges
-    inside it, so its fill and order are a function of the core's mask
-    and those rows, which the key packs. ``cores`` maps it to them, as
-    tuples that no caller can change; a core met again gets its fill
-    edges ORed in and its order appended, with nothing counted or
-    eliminated.
+    The second phase runs once per distinct core in the store
+    ``cores``: it reads only the core's rows ANDed with the core and
+    adds only edges inside it, so its fill and order are a function of
+    the core's mask and those rows, which the key packs. ``cores`` maps
+    it to them, as tuples that no caller can change; a core met again
+    gets its fill edges ORed in and its order appended, with nothing
+    counted or eliminated. A one-off caller passes an empty store.
     """
     order, alive = _peel(adj, n)
     if not alive:
         return [], order
-    core = None
-    if cores is not None:
-        # the mask in bits 0..n-1, then each core row in the next n bits
-        key = alive
-        shift = n
-        for v in bits(alive):
-            key |= (adj[v] & alive) << shift
-            shift += n
-        core = cores.get(key)
+    # the mask in bits 0..n-1, then each core row in the next n bits
+    key = alive
+    shift = n
+    for v in bits(alive):
+        key |= (adj[v] & alive) << shift
+        shift += n
+    core = cores.get(key)
     if core is None:
         added, tail = _eliminate(adj, n, alive)
-        if cores is not None:
-            cores[key] = tuple(added), tuple(tail)
+        cores[key] = tuple(added), tuple(tail)
     else:
         fill, tail = core
         for u, w in fill:
@@ -362,7 +362,7 @@ def triangulate_heuristic(g: Graph) -> Graph:
     endpoints' new pairs and closes one pair at each common neighbor.
     """
     adj = list(g._adj)
-    _minfill_masks(adj, g.n)
+    _minfill_masks(adj, g.n, {})
     return Graph._from_masks(adj)
 
 
@@ -417,45 +417,48 @@ def is_minimal_triangulation(g: Graph, h: Graph) -> bool:
         return False
 
 
-def _extend_blackbox(
-    g: Graph,
-    fam: Iterable[int],
-    runs: deque[Payload] | None = None,
-    cores: Cores | None = None,
-    cliques: _Table | None = None,
-    base: int | None = None,
-) -> set[int]:
-    """MinSep of the minimal triangulation H that min-fill and the
-    sandwich step make of g with the family's masks saturated, as masks.
+def _blackbox_extender(g: Graph) -> Extend:
+    """The blackbox extender of g: ``extend(fam, runs)`` is MinSep of the
+    minimal triangulation H that min-fill and the sandwich step make of g
+    with the family's masks saturated, as masks.
 
-    g is saturated packed: ``base``, g packed, ORed with each member's
-    packed clique from ``cliques``; either one not given is made for
-    this call. When the sandwich step keeps every fill edge, H is
-    min-fill's result and its elimination order is perfect, so
-    ``_peo_read_off`` walks it. A dropped fill edge may have joined two
-    later neighbors of a vertex, so then H is peeled again and its
-    peeling order is walked instead; a result that is not chordal raises
-    NotChordalError. Given ``runs``, it appends H, packed, and the order
-    it walked: H is the saturated g plus the fill edges the sandwich
-    step kept, so only those are packed. Given ``cores``, min-fill
-    eliminates each distinct core once (see ``_minfill_masks``).
+    g is saturated packed: g packed, ORed with each member's packed
+    clique. When the sandwich step keeps every fill edge, H is min-fill's
+    result and its elimination order is perfect, so ``_peo_read_off``
+    walks it. A dropped fill edge may have joined two later neighbors of
+    a vertex, so then H is peeled again and its peeling order is walked
+    instead; a result that is not chordal raises NotChordalError. Given
+    a FIFO ``runs``, it appends H, packed, and the order it walked: H is
+    the saturated g plus the fill edges the sandwich step kept, so only
+    those are packed.
+
+    The extender keeps, for all its runs, what min-fill's second phase
+    made of each distinct core they peeled to, so that no core is
+    eliminated twice (see ``_minfill_masks``). That result is a function
+    of the core, so the answers do not change; the store holds at most
+    one entry per run, a few ints per core vertex. It also keeps g
+    packed and each separator's packed clique, made on the first run
+    that saturates it: one n*n-bit int per distinct separator met.
     """
     n = g.n
-    if cliques is None:
-        cliques = _clique_table(n)
-    if base is None:
-        base = _packed(g._adj)
-    h = _saturation(base, fam, cliques)
-    adj = _unpacked(h, n)
-    fill, order = _minfill_masks(adj, n, cores)
-    kept = _sandwich_masks(adj, fill)
-    if len(kept) < len(fill):
-        order = _peeling_order(adj, n)
-    if runs is not None:
-        for u, w in kept:
-            h |= 1 << u * n + w | 1 << w * n + u
-        runs.append((h, order))
-    return _peo_read_off(adj, order)[1]
+    base = _packed(g._adj)
+    cliques = _clique_table(n)
+    cores: Cores = {}
+
+    def extend(fam: Iterable[int], runs: deque[Payload] | None) -> set[int]:
+        h = _saturation(base, fam, cliques)
+        adj = _unpacked(h, n)
+        fill, order = _minfill_masks(adj, n, cores)
+        kept = _sandwich_masks(adj, fill)
+        if len(kept) < len(fill):
+            order = _peeling_order(adj, n)
+        if runs is not None:
+            for u, w in kept:
+                h |= 1 << u * n + w | 1 << w * n + u
+            runs.append((h, order))
+        return _peo_read_off(adj, order)[1]
+
+    return extend
 
 
 def extend_family_blackbox(g: Graph, phi: Iterable[Iterable[int]]) -> ParallelFamily:
@@ -467,7 +470,7 @@ def extend_family_blackbox(g: Graph, phi: Iterable[Iterable[int]]) -> ParallelFa
     pairwise-parallel minimal separators of a connected g raises
     GraphError.
     """
-    return frozenset(map(vertex_set, _extend_blackbox(g, _check_family(g, phi))))
+    return frozenset(map(vertex_set, _blackbox_extender(g)(_check_family(g, phi), None)))
 
 
 def _split(adj: list[int], piece: int, smask: int) -> list[int]:
@@ -568,27 +571,25 @@ def _choose_min_sep(adj: list[int], piece: int) -> int:
     return 0
 
 
-def _extend_separator(
-    g: Graph,
-    fam: Iterable[int],
-    runs: deque[Payload] | None = None,
-    cores: Cores | None = None,
-    cliques: _Table | None = None,
-    base: int | None = None,
-) -> set[int]:
-    """The boundaries of every split that ``_split_and_route`` makes of g
-    along the family and then along ``_choose_min_sep``, as masks. Every
-    split saturates a member of the result, so the graph it leaves is the
-    result's triangulation; given ``runs``, it appends that graph, packed,
-    with no elimination order. It eliminates nothing and saturates in
-    place, so ``cores``, ``cliques`` and ``base`` are left as they are."""
-    fam = list(fam)
-    adj = list(g._adj)
-    _, boundaries = _split_and_route(adj, fam, _choose_min_sep)
-    boundaries.update(fam)
-    if runs is not None:
-        runs.append((_packed(adj), None))
-    return boundaries
+def _separator_extender(g: Graph) -> Extend:
+    """The separator extender of g: ``extend(fam, runs)`` is the
+    boundaries of every split that ``_split_and_route`` makes of g along
+    the family and then along ``_choose_min_sep``, as masks. Every split
+    saturates a member of the result, so the graph it leaves is the
+    result's triangulation; given a FIFO ``runs``, it appends that
+    graph, packed, with no elimination order. It keeps nothing between
+    runs."""
+
+    def extend(fam: Iterable[int], runs: deque[Payload] | None) -> set[int]:
+        fam = list(fam)
+        adj = list(g._adj)
+        _, boundaries = _split_and_route(adj, fam, _choose_min_sep)
+        boundaries.update(fam)
+        if runs is not None:
+            runs.append((_packed(adj), None))
+        return boundaries
+
+    return extend
 
 
 def extend_family_separator(g: Graph, phi: Iterable[Iterable[int]]) -> ParallelFamily:
@@ -603,15 +604,13 @@ def extend_family_separator(g: Graph, phi: Iterable[Iterable[int]]) -> ParallelF
     pairwise-parallel minimal separators of a connected g raises
     GraphError; two crossing members name the pair.
     """
-    return frozenset(map(vertex_set, _extend_separator(g, _check_family(g, phi))))
+    return frozenset(map(vertex_set, _separator_extender(g)(_check_family(g, phi), None)))
 
 
-_EXTENDER_IMPL: dict[
-    str,
-    Callable[[Graph, Iterable[int], deque[Payload] | None, Cores, _Table, int], set[int]],
-] = {
-    "blackbox": _extend_blackbox,
-    "separator": _extend_separator,
+# each extender's factory: one graph to the extender of that graph
+_EXTENDER_IMPL: dict[str, Callable[[Graph], Extend]] = {
+    "blackbox": _blackbox_extender,
+    "separator": _separator_extender,
 }
 EXTENDERS = tuple(_EXTENDER_IMPL)
 
@@ -626,7 +625,8 @@ def separator_graph_instance(g: Graph, extender: str = "blackbox") -> ImplicitGr
     The instance keeps one frozenset object per separator, with its
     mask. Separators from the stream and from the extender come out as
     those objects, so the engine meets each separator as one object, and
-    the extender works on the masks.
+    the extender works on the masks. It builds the extender once, so
+    the extender's per-graph state lasts the instance's lifetime.
 
     The instance's ``payloads`` is a one-slot list, None at first, so
     that extending keeps nothing. A reader that puts a deque in the slot
@@ -634,55 +634,32 @@ def separator_graph_instance(g: Graph, extender: str = "blackbox") -> ImplicitGr
     triangulation whose MinSep the run returned, which is g with the
     result saturated (Parra & Scheffler 1997), and, from the blackbox
     extender, the perfect elimination ordering it read MinSep off.
-
-    The instance also keeps what min-fill's second phase made of each
-    distinct core that the blackbox extender's runs peeled to, so that
-    no core is eliminated twice (see ``_minfill_masks``). That result is
-    a function of the core, so the answers do not change; the store
-    holds at most one entry per run, a few ints per core vertex. And it
-    keeps g packed and each separator's packed clique, made on the first
-    run that saturates it: one n*n-bit int per distinct separator met.
     """
     if extender not in _EXTENDER_IMPL:
         raise ValueError(f"unknown extender {extender!r}; expected one of {EXTENDERS}")
     if not is_connected(g):
         raise DisconnectedGraphError("separator_graph_instance requires a connected graph")
-    extend = _EXTENDER_IMPL[extender]
-    masks: dict[Separator, int] = {}
-    objects: dict[int, Separator] = {}
+    extend = _EXTENDER_IMPL[extender](g)
     # the slot a reader of the payloads puts its FIFO in
     sink: list[deque[Payload] | None] = [None]
-    cores: Cores = {}
-    cliques = _clique_table(g.n)
-    base = _packed(g._adj)
-
-    def mask(s: Separator) -> int:
-        m = masks.get(s)
-        if m is None:
-            m = masks[s] = mask_of(s)
-            objects[m] = s
-        return m
+    # each separator's mask, made on first lookup only for a member
+    # that a caller passes and the instance never met; the objects'
+    # table records the mask of each object it makes
+    masks = _Table(mask_of)
 
     def separator(m: int) -> Separator:
-        s = objects.get(m)
-        if s is None:
-            s = objects[m] = vertex_set(m)
-            masks[s] = m
+        s = vertex_set(m)
+        masks[s] = m
         return s
 
+    objects = _Table(separator)
+
     def extend_to_max_ind(fam: ParallelFamily) -> ParallelFamily:
-        ms = list(map(masks.get, fam))
-        if None in ms:
-            # a member the instance never met, from a caller
-            ms = list(map(mask, fam))
-        found = extend(g, ms, sink[0], cores, cliques, base)
-        seps = frozenset(map(objects.get, found))
-        if None in seps:
-            seps = frozenset(map(separator, found))
-        return seps
+        found = extend(map(masks.__getitem__, fam), sink[0])
+        return frozenset(map(objects.__getitem__, found))
 
     return ImplicitGraph(
-        node_stream=lambda: (objects[mask(s)] for s in enum_min_seps(g)),
+        node_stream=lambda: (objects[mask_of(s)] for s in enum_min_seps(g)),
         adjacent=lambda s, t: crosses(g, s, t),
         extend_to_max_ind=extend_to_max_ind,
         payloads=sink,

@@ -967,13 +967,13 @@ class TestWriterReference:
 def count_fragments(monkeypatch):
     """The keys whose text a fragment table makes, in the order made."""
     made = []
-    make = cli._Texts.__missing__
+    make = cli._Table.__missing__
 
     def counting(table, key):
         made.append(key)
         return make(table, key)
 
-    monkeypatch.setattr(cli._Texts, "__missing__", counting)
+    monkeypatch.setattr(cli._Table, "__missing__", counting)
     return made
 
 

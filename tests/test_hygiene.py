@@ -1,8 +1,9 @@
 """Static checks on the package source: no dead imports, no dead
 helpers, no docstring that names a private helper that is gone, a
 package ``__all__`` that lists exactly what the package imports, a
-docstring on every function and class it exports, and no syntax newer
-than the Python floor that ``pyproject.toml`` declares.
+docstring on every function and class it exports, no parameter that
+its function never reads, and no syntax newer than the Python floor
+that ``pyproject.toml`` declares.
 
 The scans read ``src/trienum/*.py`` with ``ast``; nothing is imported.
 """
@@ -158,6 +159,94 @@ def test_exported_functions_and_classes_have_docstrings():
     assert len(defs) > 40
     bare = [f"{name}: {node.name}" for name, node in defs if not ast.get_docstring(node)]
     assert bare == []
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _parameters(fn):
+    """The names of fn's parameters, in the order of its signature."""
+    args = fn.args
+    ordered = [*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg]
+    return [arg.arg for arg in ordered if arg]
+
+
+def _reads(node, name):
+    """True iff the tree under node reads ``name``, not counting a
+    nested function that takes a parameter of that name, apart from its
+    defaults, which its enclosing scope evaluates."""
+    if isinstance(node, ast.Name):
+        return node.id == name and isinstance(node.ctx, ast.Load)
+    if isinstance(node, _FUNCTIONS) and name in _parameters(node):
+        defaults = node.args.defaults + [d for d in node.args.kw_defaults if d]
+        return any(_reads(d, name) for d in defaults)
+    return any(_reads(child, name) for child in ast.iter_child_nodes(node))
+
+
+def _answer_functions(tree):
+    """The names given as the ``answers`` field of a ``Command(...)``
+    call, by keyword or at that field's position in the ``Command``
+    class: functions whose signature the command table fixes."""
+    fields = [
+        stmt.target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == "Command"
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign)
+    ]
+    if "answers" not in fields:
+        return set()
+    at = fields.index("answers")
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Command":
+            given = node.args[at : at + 1] + [k.value for k in node.keywords if k.arg == "answers"]
+            names.update(value.id for value in given if isinstance(value, ast.Name))
+    return names
+
+
+def _unread_parameters(tree):
+    """``function: parameter`` for each parameter that its function,
+    nested closures included, never reads. Dunders and the command
+    table's answer functions are exempt."""
+    exempt = _answer_functions(tree)
+    unread = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, _FUNCTIONS):
+            continue
+        name = getattr(fn, "name", "<lambda>")
+        if name in exempt or name.startswith("__") and name.endswith("__"):
+            continue
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        unread += [
+            f"{name}: {arg}"
+            for arg in _parameters(fn)
+            if not any(_reads(stmt, arg) for stmt in body)
+        ]
+    return unread
+
+
+def test_functions_read_every_parameter():
+    source = (
+        "class Command(NamedTuple):\n    help: str\n    answers: Callable\n"
+        "TABLE = {'a': Command('h', _a), 'b': Command('h', answers=_b)}\n"
+        "def _a(sub, args):\n    return sub\n"
+        "def _b(sub, args):\n    return args\n"
+        "def f(a, b, *c, d, e=1, **k):\n"
+        "    def g(b, x=e):\n        return b + x\n"
+        "    h = lambda d, y: d\n"
+        "    return a, g, h\n"
+        "class K:\n    def __init__(self, unused):\n        pass\n"
+    )
+    # a read in a closure counts, except one that takes the name itself
+    want = ["f: b", "f: c", "f: d", "f: k", "<lambda>: y"]
+    assert _unread_parameters(ast.parse(source)) == want
+    unread = [
+        f"{name}: {entry}"
+        for name, tree in _modules().items()
+        for entry in _unread_parameters(tree)
+    ]
+    assert unread == []
 
 
 def test_sources_parse_at_the_declared_python_floor():

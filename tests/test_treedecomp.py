@@ -630,14 +630,18 @@ class TestEachAnswerFromItsExtenderRun:
     def test_a_direct_engine_run_keeps_no_payloads(self, extender, monkeypatch):
         # only a reader that asks for the payloads gets them kept
         appended = []
-        for name in ("_extend_blackbox", "_extend_separator"):
-            extend = getattr(triangulate, name)
+        for name, make in list(triangulate._EXTENDER_IMPL.items()):
 
-            def spy(g, fam, runs=None, *rest, extend=extend):
-                appended.append(runs)
-                return extend(g, fam, runs, *rest)
+            def spied(g, make=make):
+                extend = make(g)
 
-            monkeypatch.setitem(triangulate._EXTENDER_IMPL, name.removeprefix("_extend_"), spy)
+                def spy(fam, runs):
+                    appended.append(runs)
+                    return extend(fam, runs)
+
+                return spy
+
+            monkeypatch.setitem(triangulate._EXTENDER_IMPL, name, spied)
         inst = triangulate.separator_graph_instance(cycle_graph(9), extender)
         assert sum(1 for _ in triangulate.enum_max_independent(inst)) == 429
         assert inst.payloads == [None]

@@ -47,8 +47,8 @@ from trienum.graph import (
 )
 from trienum.triangulate import (
     _clique,
+    _blackbox_extender,
     _clique_table,
-    _extend_blackbox,
     _minfill_masks,
     _nonedges,
     _packed,
@@ -240,7 +240,7 @@ PETERSEN = _masks(
 
 def _assert_minfill_matches_rescan(adj, n):
     ours, ref = list(adj), list(adj)
-    fill, _ = _minfill_masks(ours, n)
+    fill, _ = _minfill_masks(ours, n, {})
     assert fill == rescan_minfill_masks(ref, n)
     assert ours == ref
 
@@ -256,7 +256,7 @@ def _assert_stored_cores_change_nothing(adj, n):
     the plain rescan gives; a run that takes a stored core changes no
     entry, and a caller that changes what a run returned changes none."""
     plain, ref = list(adj), list(adj)
-    want = _minfill_masks(plain, n)
+    want = _minfill_masks(plain, n, {})
     assert want[0] == rescan_minfill_masks(ref, n)
     assert plain == ref
     for _ in range(2):
@@ -386,7 +386,7 @@ class TestMinfillMasks:
     @given(graph_masks())
     def test_order_is_a_peo_of_the_result(self, graph):
         n, adj = graph
-        _, order = _minfill_masks(adj, n)
+        _, order = _minfill_masks(adj, n, {})
         assert sorted(order) == list(range(n))
         assert _is_peo(adj, order)
 
@@ -396,7 +396,7 @@ class TestMinfillMasks:
         n, adj = graph
         rescan_minfill_masks(adj, n)  # adj is now chordal
         chordal = list(adj)
-        assert _minfill_masks(adj, n)[0] == []
+        assert _minfill_masks(adj, n, {})[0] == []
         assert adj == chordal
 
     @pytest.mark.parametrize(
@@ -431,7 +431,9 @@ class TestMinfillMasks:
                 if store is None:
                     _assert_minfill_matches_rescan(adj, g.n)
                 cored += _peel(adj, g.n)[1] != 0
-                h.update(repr(_minfill_masks(adj, g.n, store)).encode())
+                # the first pass gives each call a store of its own
+                used = {} if store is None else store
+                h.update(repr(_minfill_masks(adj, g.n, used)).encode())
                 h.update(b"\n")
             assert h.hexdigest() == digest
         assert 0 < len(cores) < cored
@@ -540,7 +542,7 @@ class TestPeel:
     def test_order_is_a_peo_exactly_on_chordal_graphs(self, graph):
         n, adj = graph
         filled = list(adj)
-        _minfill_masks(filled, n)
+        _minfill_masks(filled, n, {})
         for masks in (adj, filled):
             order, left = _peel(masks, n)
             assert len(set(order)) == len(order)
@@ -603,7 +605,7 @@ class TestPeoMinSeps:
     @given(graph_masks(max_n=14))
     def test_minfill_result_under_its_own_order(self, graph):
         n, adj = graph
-        _, order = _minfill_masks(adj, n)
+        _, order = _minfill_masks(adj, n, {})
         want = _sorted_parts(mcs_cliques_seps(adj, n))
         assert _sorted_parts(_peo_read_off(adj, order)) == want
 
@@ -788,7 +790,7 @@ class TestExtenders:
     def test_fallback_when_the_sandwich_breaks_the_order(self):
         g = Graph(14, FALLBACK_EDGES)
         adj = list(g._adj)
-        fill, order = _minfill_masks(adj, g.n)
+        fill, order = _minfill_masks(adj, g.n, {})
         assert fill == [(3, 7), (4, 9), (6, 13), (8, 9)]
         kept = _sandwich_masks(adj, fill)
         edges = set(Graph._from_masks(adj).edges())
@@ -796,7 +798,7 @@ class TestExtenders:
         assert len(kept) == 3 and set(kept) == set(fill) & edges
         # min-fill's order is no longer perfect, and the peeling order answers
         assert not _is_peo(adj, order)
-        seps = _extend_blackbox(g, [])
+        seps = _blackbox_extender(g)([], None)
         assert seps == mcs_cliques_seps(adj, g.n)[1]
         assert {frozenset(bits(m)) for m in seps} == _public_pipeline(g, ())
         assert extend_family_blackbox(g, ()) == _public_pipeline(g, ())
